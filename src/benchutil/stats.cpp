@@ -23,36 +23,15 @@ Stats compute_stats(std::vector<double> samples) {
   return s;
 }
 
-namespace {
-
-/// pct-th percentile of an already-sorted sample vector.
-double percentile_sorted(const std::vector<double>& sorted, double pct) {
-  if (sorted.empty()) return 0.0;
-  const double clamped = pct < 0.0 ? 0.0 : (pct > 100.0 ? 100.0 : pct);
-  const double rank = clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
-
-}  // namespace
-
 double percentile(std::vector<double> samples, double pct) {
+  if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
-  return percentile_sorted(samples, pct);
-}
-
-TailStats compute_tail_stats(std::vector<double> samples) {
-  TailStats t;
-  t.samples = samples.size();
-  if (samples.empty()) return t;
-  std::sort(samples.begin(), samples.end());
-  t.p50 = percentile_sorted(samples, 50.0);
-  t.p95 = percentile_sorted(samples, 95.0);
-  t.p99 = percentile_sorted(samples, 99.0);
-  t.max = samples.back();
-  return t;
+  const double clamped = pct < 0.0 ? 0.0 : (pct > 100.0 ? 100.0 : pct);
+  const double rank = clamped / 100.0 * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  if (lo + 1 >= samples.size()) return samples.back();
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] + frac * (samples[lo + 1] - samples[lo]);
 }
 
 }  // namespace gpa::benchutil

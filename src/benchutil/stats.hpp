@@ -19,10 +19,9 @@ Stats compute_stats(std::vector<double> samples);
 /// The pct-th percentile (0..100) by linear interpolation between order
 /// statistics (the "inclusive" definition: percentile(_, 0) = min,
 /// percentile(_, 100) = max). Returns 0 for an empty sample set.
-/// Serving latency reports (p50/p95/p99) are built on this.
 double percentile(std::vector<double> samples, double pct);
 
-/// Tail summary of a latency distribution, all from one sort.
+/// Tail summary of a latency distribution.
 struct TailStats {
   double p50 = 0.0;
   double p95 = 0.0;
@@ -30,6 +29,5 @@ struct TailStats {
   double max = 0.0;
   std::size_t samples = 0;
 };
-TailStats compute_tail_stats(std::vector<double> samples);
 
 }  // namespace gpa::benchutil

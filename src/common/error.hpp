@@ -15,13 +15,6 @@ class InvalidArgument : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Raised when a tracked allocation exceeds the device memory budget.
-/// Mirrors CUDA's out-of-memory failure mode for the capacity experiments.
-class OutOfDeviceMemory : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 namespace detail {
 [[noreturn]] inline void throw_check_failure(const char* expr, const char* file, int line,
                                              const std::string& msg) {

@@ -1,5 +1,7 @@
 #include "net/frame.hpp"
 
+#include <fstream>
+
 #include "common/error.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
@@ -227,8 +229,13 @@ bool get_csr(Reader& r, Csr<float>& m) {
   const std::int64_t rows = r.i64();
   const std::int64_t cols = r.i64();
   const std::uint64_t nnz = r.u64();
-  if (!r.ok || rows < 0 || cols < 0 || nnz > kMaxElems) return false;
-  // All three arrays must fit in what remains before any allocation.
+  if (!r.ok || rows < 0 || cols < 0 || static_cast<std::uint64_t>(rows) > kMaxElems ||
+      nnz > kMaxElems) {
+    r.ok = false;
+    return false;
+  }
+  // All three arrays must fit in what remains before any allocation
+  // (the bounds above keep `need` from wrapping).
   const std::uint64_t need = (static_cast<std::uint64_t>(rows) + 1) * 8 + nnz * (8 + 4);
   if (r.remaining() < need) {
     r.ok = false;
@@ -277,6 +284,43 @@ bool get_partition(Reader& r, seqpar::Partition& p) {
     if (p.boundaries[i] < p.boundaries[i - 1]) return false;
   }
   return true;
+}
+
+// ---------------------------------------------------------------------
+// Mask files.
+
+void save_mask(const Csr<float>& mask, const std::string& path) {
+  GPA_CHECK(mask.is_canonical(), "refusing to save a non-canonical mask");
+  Writer w;
+  put_csr(w, mask);
+  std::vector<std::uint8_t> bytes;
+  encode_frame(Frame{kFrameMaskFile, 0, std::move(w.buf)}, bytes);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  GPA_CHECK(out.good(), "cannot open for writing: " + path);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  GPA_CHECK(out.good(), "short write while saving mask: " + path);
+}
+
+Csr<float> load_mask(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  GPA_CHECK(in.good(), "cannot open for reading: " + path);
+  const std::streamoff size = in.tellg();
+  GPA_CHECK(size >= 0 && static_cast<std::uint64_t>(size) <=
+                             kFrameHeaderBytes + kMaxFramePayload + kFrameTrailerBytes,
+            "not a mask file (bad size): " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
+  GPA_CHECK(in.good(), "short read: " + path);
+  Frame f;
+  const WireStatus st = decode_frame(bytes.data(), bytes.size(), f);
+  GPA_CHECK(st == WireStatus::Ok, std::string("not a mask file (") + to_string(st) + "): " + path);
+  GPA_CHECK(f.type == kFrameMaskFile && f.flags == 0, "not a mask file (frame type): " + path);
+  Reader r(f.payload);
+  Csr<float> mask;
+  GPA_CHECK(get_csr(r, mask) && r.done(), "corrupt mask payload: " + path);
+  return mask;
 }
 
 }  // namespace gpa::net

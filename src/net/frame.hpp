@@ -208,4 +208,20 @@ bool get_csr(Reader& r, Csr<float>& m);
 void put_partition(Writer& w, const seqpar::Partition& p);
 bool get_partition(Reader& r, seqpar::Partition& p);
 
+// ---------------------------------------------------------------------
+// Mask files. Long-context masks are expensive to rebuild (BigBird's
+// random component must also be identical across runs), so pipelines
+// persist them. A mask file is exactly one frame of type kFrameMaskFile
+// whose payload is put_csr — the same codec and the same hostile-input
+// checks as the wire.
+
+inline constexpr std::uint16_t kFrameMaskFile = 3;
+
+/// Throws InvalidArgument for a non-canonical mask or an I/O failure.
+void save_mask(const Csr<float>& mask, const std::string& path);
+/// Throws InvalidArgument for anything but a well-formed mask file. The
+/// read is sized by the file's real length, capped by kMaxFramePayload,
+/// so no header field can drive an allocation.
+Csr<float> load_mask(const std::string& path);
+
 }  // namespace gpa::net

@@ -18,12 +18,12 @@ std::size_t shard_of_this_thread() noexcept {
 }
 
 void Counter::inc(std::uint64_t n) noexcept {
-  shards_[shard_of_this_thread()].v.fetch_add(n, std::memory_order_relaxed);
+  shards_[shard_of_this_thread()].v.fetch_add(n, std::memory_order_release);
 }
 
 std::uint64_t Counter::value() const noexcept {
   std::uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.v.load(std::memory_order_relaxed);
+  for (const Shard& s : shards_) total += s.v.load(std::memory_order_acquire);
   return total;
 }
 
@@ -31,19 +31,22 @@ void Counter::reset() noexcept {
   for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
 }
 
-Histogram::Histogram(std::vector<double> edges)
-    : edges_(std::move(edges)), counts_(edges_.size() + 1) {
-  GPA_CHECK(!edges_.empty(), "histogram needs at least one bucket edge");
-  for (std::size_t i = 1; i < edges_.size(); ++i) {
-    GPA_CHECK(edges_[i - 1] < edges_[i], "histogram edges must ascend strictly");
+BucketEdges::BucketEdges(std::vector<double> edges) {
+  GPA_CHECK(!edges.empty(), "histogram needs at least one bucket edge");
+  for (std::size_t i = 1; i < edges.size(); ++i) {
+    GPA_CHECK(edges[i - 1] < edges[i], "histogram edges must ascend strictly");
   }
+  values_ = std::make_shared<const std::vector<double>>(std::move(edges));
 }
 
+Histogram::Histogram(BucketEdges edges)
+    : edges_(std::move(edges)), counts_(edges_.values().size() + 1) {}
+
 void Histogram::observe(double v) noexcept {
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), v);
-  const auto b = static_cast<std::size_t>(it - edges_.begin());  // == size() → overflow
-  counts_[b].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  const std::vector<double>& e = edges_.values();
+  const auto it = std::lower_bound(e.begin(), e.end(), v);
+  const auto b = static_cast<std::size_t>(it - e.begin());  // == size() → overflow
+  counts_[b].fetch_add(1, std::memory_order_release);
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
@@ -52,7 +55,7 @@ void Histogram::observe(double v) noexcept {
 std::vector<std::uint64_t> Histogram::counts() const {
   std::vector<std::uint64_t> out(counts_.size());
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = counts_[i].load(std::memory_order_relaxed);
+    out[i] = counts_[i].load(std::memory_order_acquire);
   }
   return out;
 }
@@ -60,13 +63,60 @@ std::vector<std::uint64_t> Histogram::counts() const {
 double Histogram::sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
 
 std::uint64_t Histogram::count() const noexcept {
-  return count_.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  for (const auto& c : counts_) total += c.load(std::memory_order_acquire);
+  return total;
+}
+
+HistogramSample Histogram::sample(std::string name) const {
+  HistogramSample s{std::move(name), edges(), counts(), sum(), 0};
+  for (const std::uint64_t c : s.counts) s.count += c;
+  return s;
 }
 
 void Histogram::reset() noexcept {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
+}
+
+std::vector<double> geometric_edges(double lo, double hi, double ratio) {
+  GPA_CHECK(lo > 0.0 && hi > lo && ratio > 1.0, "geometric edges need 0 < lo < hi, ratio > 1");
+  std::vector<double> edges{lo};
+  while (edges.back() < hi) edges.push_back(edges.back() * ratio);
+  return edges;
+}
+
+namespace {
+
+/// Estimate of the k-th smallest sample (0-based, k < total count):
+/// evenly spaced inside its bucket, clamped to the end edges.
+double order_statistic(const HistogramSample& h, std::uint64_t k) {
+  std::uint64_t below = 0;
+  for (std::size_t b = 0; b < h.counts.size(); ++b) {
+    const std::uint64_t c = h.counts[b];
+    if (k < below + c) {
+      if (b == 0) return h.edges.front();
+      if (b >= h.edges.size()) return h.edges.back();
+      const double lo = h.edges[b - 1];
+      const double hi = h.edges[b];
+      return lo + (hi - lo) * (static_cast<double>(k - below) + 0.5) / static_cast<double>(c);
+    }
+    below += c;
+  }
+  return h.edges.back();
+}
+
+}  // namespace
+
+double HistogramSample::quantile(double q) const {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : counts) n += c;
+  if (n == 0 || edges.empty()) return 0.0;
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(n - 1);
+  const auto k = static_cast<std::uint64_t>(rank);
+  const double x = order_statistic(*this, k);
+  if (k + 1 >= n) return x;
+  return x + (rank - static_cast<double>(k)) * (order_statistic(*this, k + 1) - x);
 }
 
 // ---------------------------------------------------------------------
@@ -106,7 +156,7 @@ MetricsSnapshot Registry::snapshot() const {
   for (const auto& [name, g] : gauges_) s.gauges.push_back({name, g->value()});
   s.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
-    s.histograms.push_back({name, h->edges(), h->counts(), h->sum(), h->count()});
+    s.histograms.push_back(h->sample(name));
   }
   return s;
 }

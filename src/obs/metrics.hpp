@@ -1,31 +1,35 @@
 #pragma once
 // Metrics registry: named counters, gauges, and fixed-bucket histograms
 // with lock-cheap recording, a typed snapshot, and text + JSON
-// exposition. This is the process-wide substrate every subsystem
-// (serve / kvcache / net / parallel) records into; the live scrape path
-// (net's Op::Stats) and the bench JSON embeds read it back out.
+// exposition. This is the process-wide substrate kvcache / net /
+// parallel record into; the live scrape path (net's Op::Stats) and the
+// bench JSON embeds read it back out. The same Counter and Histogram
+// types also serve as per-object metrics outside the registry (each
+// serve::Server owns its stats).
 //
 // Naming convention: `subsystem.noun[.verb]`, lowercase, dot-separated
-//   serve.requests.submitted      kvcache.prefix.hits
+//   net.rpc.calls                 kvcache.prefix.hits
 //   net.bytes.sent                sched.auto.picks.dynamic
 // Names are registered once and live for the registry's lifetime, so
 // instrument sites cache the returned reference (one magic-static) and
 // the hot path is a single sharded atomic add — no lock, no lookup.
 //
 // Recording contract:
-//   * Counter::inc is wait-free: one relaxed fetch_add on a
-//     cache-line-padded shard picked by thread id (writers on different
-//     threads do not bounce one cache line).
+//   * Counter::inc is wait-free: one fetch_add on a cache-line-padded
+//     shard picked by thread id (writers on different threads do not
+//     bounce one cache line).
+//   * Counter and histogram-bucket increments are release and their
+//     reads acquire (the same instructions as relaxed on x86): a reader
+//     that sees an increment also sees what its writer recorded before
+//     it. ServerStats::snapshot() relies on this for its ordering.
 //   * Gauge is a single atomic (set/add are rare, not hot-path).
-//   * Histogram::observe is two relaxed adds (bucket + count) plus a
-//     CAS loop for the running sum.
+//   * Histogram::observe is one add on its bucket plus a relaxed CAS
+//     loop for the running sum; the count is the sum of the buckets, so
+//     a histogram read never disagrees with its own count.
 //   * snapshot() walks the registry under its registration mutex.
 //     Individual values are atomically read but the snapshot is NOT a
 //     cross-metric atomic cut — counters are monotone, so a scraper
 //     sees each counter at some point within the scrape window.
-//     Invariant-coupled pairs that must never tear (e.g. ServerStats'
-//     completed vs latency sums) stay behind their owner's single lock
-//     and mirror into the registry for scraping (see server_stats.hpp).
 
 #include <array>
 #include <atomic>
@@ -70,30 +74,53 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
+struct HistogramSample;
+
+/// A histogram's bucket layout: non-empty, strictly ascending upper
+/// edges. Checked once here; copies share one immutable vector, so many
+/// histograms with one layout (one per server, say) cost one copy.
+class BucketEdges {
+ public:
+  explicit BucketEdges(std::vector<double> edges);  ///< throws InvalidArgument
+
+  const std::vector<double>& values() const noexcept { return *values_; }
+
+ private:
+  std::shared_ptr<const std::vector<double>> values_;
+};
+
 /// Fixed-bucket histogram: bucket b counts observations <= edges[b],
 /// the last (implicit +inf) bucket counts the overflow. Edges are fixed
 /// at registration — scrapers can difference two snapshots bucket by
 /// bucket because the layout never changes.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> edges);
+  explicit Histogram(BucketEdges edges);
+  explicit Histogram(std::vector<double> edges) : Histogram(BucketEdges(std::move(edges))) {}
 
   void observe(double v) noexcept;
 
-  const std::vector<double>& edges() const noexcept { return edges_; }
+  const std::vector<double>& edges() const noexcept { return edges_.values(); }
   /// counts[i] for i < edges.size() counts v <= edges[i] (first match);
   /// counts.back() is the +inf overflow bucket.
   std::vector<std::uint64_t> counts() const;
   double sum() const noexcept;
+  /// Sum of the bucket counts.
   std::uint64_t count() const noexcept;
+  /// Buckets read once, with `count` their sum.
+  HistogramSample sample(std::string name = {}) const;
   void reset() noexcept;
 
  private:
-  std::vector<double> edges_;  ///< strictly ascending
+  BucketEdges edges_;
   std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
+
+/// Edges lo, lo·ratio, lo·ratio², … up to the first edge >= hi. With
+/// these edges HistogramSample::quantile is within a relative error of
+/// ratio − 1 for samples in (lo, hi].
+std::vector<double> geometric_edges(double lo, double hi, double ratio);
 
 // ---------------------------------------------------------------------
 // Snapshot: the typed, point-in-time view the exposition formats and
@@ -115,6 +142,17 @@ struct HistogramSample {
   std::vector<std::uint64_t> counts;  ///< edges.size() + 1 (overflow last)
   double sum = 0.0;
   std::uint64_t count = 0;
+
+  /// Estimate of the q-th quantile (q in [0, 1]) with the same rank rule
+  /// as benchutil::percentile: linear interpolation between the order
+  /// statistics at ranks floor and ceil of q·(n − 1). Each order
+  /// statistic is placed inside its bucket (lo, hi], spread evenly over
+  /// the bucket's samples, so it is off by less than hi − lo. For
+  /// geometric edges that is a relative error below ratio − 1, and the
+  /// interpolation keeps that bound. Samples in the first bucket read as
+  /// edges.front() and overflow samples as edges.back(). The estimate is
+  /// monotone in q; 0 for an empty histogram.
+  double quantile(double q) const;
 };
 
 struct MetricsSnapshot {

@@ -2,7 +2,7 @@
 // Simulated distributed attention: each "node" owns a contiguous row
 // range of Q (sequence parallelism à la DeepSpeed-Ulysses/LongNet,
 // §III) and receives the full K/V via a simulated all-gather. Nodes run
-// concurrently on the thread pool; per-node wall time and gathered bytes
+// concurrently, one std::thread each; per-node wall time and gathered bytes
 // are recorded so the load-balancing claim of the partitioner is
 // measurable without real MPI.
 

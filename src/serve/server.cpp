@@ -39,7 +39,8 @@ void emit_queue_wait_spans(const std::vector<Request>& batch, TimePoint t0) {
 Server::Server(ServerConfig cfg)
     : cfg_(cfg),
       queue_(cfg.queue_capacity, cfg.age_threshold, cfg.fairness_weights),
-      batcher_(queue_, cfg.policy) {
+      batcher_(queue_, cfg.policy),
+      stats_(cfg.policy.max_batch) {
   GPA_CHECK(cfg_.workers >= 0, "worker count must be non-negative");
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int w = 0; w < cfg_.workers; ++w) {
@@ -49,12 +50,21 @@ Server::Server(ServerConfig cfg)
 
 Server::~Server() { shutdown(); }
 
-void Server::resolve(Request& r, ResponseStatus status) {
+void Server::finish(Request& r, ResponseStatus status, double queue_us, double service_us,
+                    Index batch_size) {
+  if (status == ResponseStatus::Ok) {
+    stats_.record_completion(queue_us + service_us, service_us);
+  } else {
+    stats_.record_rejected(status);
+  }
   trace::emit_async("serve.request", "serve", 'e', r.id);
   Response resp;
   resp.status = status;
   resp.id = r.id;
-  resp.output = std::move(r.output);  // hand the buffer back for recycling
+  resp.output = std::move(r.output);  // on rejection: the buffer, back for recycling
+  resp.queue_us = queue_us;
+  resp.service_us = service_us;
+  resp.batch_size = batch_size;
   r.promise.set_value(std::move(resp));
 }
 
@@ -93,7 +103,7 @@ std::future<Response> Server::submit(Request r) {
     // One token against a cached session: no mask travels with the
     // request (the session owns it) and the payload is a single row.
     GPA_CHECK(d.q.rows() == 1, "decode requests carry one token (1×d payloads)");
-    // Width must match the pool here at admission: dispatch_decode uses
+    // Width must match the pool here at admission: run_decode uses
     // the raw-pointer decode_step (no shape re-check), so a mismatched
     // row would read/write out of bounds, not reject.
     GPA_CHECK(cfg_.sessions == nullptr || d.q.cols() == cfg_.sessions->pool().head_dim(),
@@ -117,29 +127,25 @@ std::future<Response> Server::submit(Request r) {
   }
   if (!r.output.same_shape(d.q)) r.output = Matrix<float>(d.q.rows(), d.q.cols());
 
-  // Past validation: from here every path gives the request a terminal
-  // outcome, so the funnel (submitted == completed + rejected + queued)
-  // stays balanced — and every path pairs this 'b' with exactly one 'e'
-  // (resolve() or the Ok completion loops).
+  // Past validation: from here every path ends in exactly one finish(),
+  // so the funnel (submitted == completed + rejected + queued) stays
+  // balanced and this 'b' pairs with exactly one 'e'.
   stats_.record_submitted();
   trace::emit_async("serve.request", "serve", 'b', r.id);
 
   if (r.kind == RequestKind::Decode && cfg_.sessions == nullptr) {
     // Defensive, not an assert: a deployment without a session backend
     // sheds decode traffic with a typed cause the client can read.
-    stats_.record_rejected(ResponseStatus::RejectedSession);
-    resolve(r, ResponseStatus::RejectedSession);
+    finish(r, ResponseStatus::RejectedSession);
     return fut;
   }
   if (stopping_.load(std::memory_order_acquire)) {
-    stats_.record_rejected(ResponseStatus::RejectedShutdown);
-    resolve(r, ResponseStatus::RejectedShutdown);
+    finish(r, ResponseStatus::RejectedShutdown);
     return fut;
   }
   const TimePoint now = Clock::now();
   if (now >= r.deadline) {
-    stats_.record_rejected(ResponseStatus::RejectedDeadline);
-    resolve(r, ResponseStatus::RejectedDeadline);
+    finish(r, ResponseStatus::RejectedDeadline);
     return fut;
   }
   if (r.kind == RequestKind::Decode) {
@@ -167,22 +173,16 @@ std::future<Response> Server::submit(Request r) {
       stats_.record_queue_depth(queue_.size());
       break;
     case RequestQueue::Push::Full:
-      stats_.record_rejected(ResponseStatus::RejectedQueueFull);
-      resolve(r, ResponseStatus::RejectedQueueFull);
+      finish(r, ResponseStatus::RejectedQueueFull);
       break;
     case RequestQueue::Push::Closed:
-      stats_.record_rejected(ResponseStatus::RejectedShutdown);
-      resolve(r, ResponseStatus::RejectedShutdown);
+      finish(r, ResponseStatus::RejectedShutdown);
       break;
   }
   return fut;
 }
 
-void Server::dispatch_decode(std::vector<Request>& batch) {
-  const auto b = static_cast<Index>(batch.size());
-  const TimePoint t0 = Clock::now();
-  emit_queue_wait_spans(batch, t0);
-
+std::vector<ResponseStatus> Server::run_decode(std::vector<Request>& batch) {
   // Hand the whole batch to the session manager's cross-session decode:
   // it groups by session (folds for one session land in arrival/token
   // order, different sessions decode concurrently) and reduces the
@@ -213,130 +213,73 @@ void Server::dispatch_decode(std::vector<Request>& batch) {
         break;
     }
   }
-
-  const TimePoint t1 = Clock::now();
-  stats_.record_batch(b);
-  const double service_us = micros_between(t0, t1);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Request& r = batch[i];
-    if (status[i] != ResponseStatus::Ok) {
-      stats_.record_rejected(status[i]);
-      resolve(r, status[i]);
-      continue;
-    }
-    const double queue_us = micros_between(r.enqueue_time, t0);
-    stats_.record_completion(queue_us + service_us, service_us);
-    trace::emit_async("serve.request", "serve", 'e', r.id);
-    Response resp;
-    resp.status = ResponseStatus::Ok;
-    resp.id = r.id;
-    resp.output = std::move(r.output);
-    resp.queue_us = queue_us;
-    resp.service_us = service_us;
-    resp.batch_size = b;
-    r.promise.set_value(std::move(resp));
-  }
+  return status;
 }
 
-void Server::dispatch_pattern(std::vector<Request>& batch) {
-  const auto b = static_cast<Index>(batch.size());
-  const TimePoint t0 = Clock::now();
-  emit_queue_wait_spans(batch, t0);
-  try {
-    // One BatchKey means one pattern fingerprint and one bucket — but
-    // the items' TRUE lengths may differ (that is the point of
-    // bucketing). Each item folds its own rows through the shared
-    // kernel driver at its own length, enumerating the pattern's causal
-    // row slices — the same enumerator the one-shot kernels and decode
-    // sessions use — so the result equals an exact-length dispatch bit
-    // for bit.
-    parallel_for(0, b, cfg_.batch_policy, [&](Index i) {
-      trace::Span item_span("serve.item", "serve");
-      Request& r = batch[static_cast<std::size_t>(i)];
-      AttentionOptions o = r.opts;
-      o.policy = cfg_.item_policy;
-      o.causal = true;  // pattern requests are causal by contract
-      SoftmaxState st(r.data->q.rows(), r.data->q.cols());
-      detail::run_rows(r.data->q, r.data->k, r.data->v, o, st, [&](Index row, auto&& edge) {
-        r.pattern->for_each_causal(row, [&](Index j, float gate) { edge(j, gate); });
-      });
-      st.finalize_into(r.output);
+void Server::run_pattern(std::vector<Request>& batch) {
+  // One BatchKey means one pattern fingerprint and one bucket — but
+  // the items' TRUE lengths may differ (that is the point of
+  // bucketing). Each item folds its own rows through the shared
+  // kernel driver at its own length, enumerating the pattern's causal
+  // row slices — the same enumerator the one-shot kernels and decode
+  // sessions use — so the result equals an exact-length dispatch bit
+  // for bit.
+  parallel_for(0, static_cast<Index>(batch.size()), cfg_.batch_policy, [&](Index i) {
+    trace::Span item_span("serve.item", "serve");
+    Request& r = batch[static_cast<std::size_t>(i)];
+    AttentionOptions o = r.opts;
+    o.policy = cfg_.item_policy;
+    o.causal = true;  // pattern requests are causal by contract
+    SoftmaxState st(r.data->q.rows(), r.data->q.cols());
+    detail::run_rows(r.data->q, r.data->k, r.data->v, o, st, [&](Index row, auto&& edge) {
+      r.pattern->for_each_causal(row, [&](Index j, float gate) { edge(j, gate); });
     });
-  } catch (const std::exception&) {
-    for (auto& r : batch) {
-      stats_.record_internal_error();
-      resolve(r, ResponseStatus::InternalError);
+    st.finalize_into(r.output);
+  });
+}
+
+void Server::run_attention(std::vector<Request>& batch) {
+  // Every request in the batch shares one BatchKey, hence one mask
+  // structure and shape; items are independent sequences, so the
+  // cross-item loop is the batch's "grid" dimension.
+  parallel_for(0, static_cast<Index>(batch.size()), cfg_.batch_policy, [&](Index i) {
+    trace::Span item_span("serve.item", "serve");
+    Request& r = batch[static_cast<std::size_t>(i)];
+    AttentionOptions o = r.opts;
+    o.policy = cfg_.item_policy;
+    if (r.dims.num_heads > 1) {
+      multihead_csr_attention(r.data->q, r.data->k, r.data->v, r.dims, *r.mask, r.output, o);
+    } else {
+      csr_attention(r.data->q, r.data->k, r.data->v, *r.mask, r.output, o);
     }
-    return;
-  }
-  const TimePoint t1 = Clock::now();
-  stats_.record_batch(b);
-  const double service_us = micros_between(t0, t1);
-  for (auto& r : batch) {
-    const double queue_us = micros_between(r.enqueue_time, t0);
-    stats_.record_completion(queue_us + service_us, service_us);
-    trace::emit_async("serve.request", "serve", 'e', r.id);
-    Response resp;
-    resp.status = ResponseStatus::Ok;
-    resp.id = r.id;
-    resp.output = std::move(r.output);
-    resp.queue_us = queue_us;
-    resp.service_us = service_us;
-    resp.batch_size = b;
-    r.promise.set_value(std::move(resp));
-  }
+  });
 }
 
 void Server::dispatch(std::vector<Request>& batch) {
   trace::Span dispatch_span("serve.dispatch", "serve");
-  if (batch.front().kind == RequestKind::Decode) {
-    dispatch_decode(batch);
-    return;
-  }
-  if (batch.front().kind == RequestKind::Pattern) {
-    dispatch_pattern(batch);
-    return;
-  }
   const auto b = static_cast<Index>(batch.size());
   const TimePoint t0 = Clock::now();
   emit_queue_wait_spans(batch, t0);
+  std::vector<ResponseStatus> status;  // per item; empty = every item Ok
   try {
-    // Every request in the batch shares one BatchKey, hence one mask
-    // structure and shape; items are independent sequences, so the
-    // cross-item loop is the batch's "grid" dimension.
-    parallel_for(0, b, cfg_.batch_policy, [&](Index i) {
-      trace::Span item_span("serve.item", "serve");
-      Request& r = batch[static_cast<std::size_t>(i)];
-      AttentionOptions o = r.opts;
-      o.policy = cfg_.item_policy;
-      if (r.dims.num_heads > 1) {
-        multihead_csr_attention(r.data->q, r.data->k, r.data->v, r.dims, *r.mask, r.output, o);
-      } else {
-        csr_attention(r.data->q, r.data->k, r.data->v, *r.mask, r.output, o);
-      }
-    });
-  } catch (const std::exception&) {
-    for (auto& r : batch) {
-      stats_.record_internal_error();
-      resolve(r, ResponseStatus::InternalError);
+    switch (batch.front().kind) {
+      case RequestKind::Decode: status = run_decode(batch); break;
+      case RequestKind::Pattern: run_pattern(batch); break;
+      case RequestKind::Attention: run_attention(batch); break;
     }
+  } catch (const std::exception&) {
+    for (auto& r : batch) finish(r, ResponseStatus::InternalError);
     return;
   }
-  const TimePoint t1 = Clock::now();
+  const double service_us = micros_between(t0, Clock::now());
   stats_.record_batch(b);
-  const double service_us = micros_between(t0, t1);
-  for (auto& r : batch) {
-    const double queue_us = micros_between(r.enqueue_time, t0);
-    stats_.record_completion(queue_us + service_us, service_us);
-    trace::emit_async("serve.request", "serve", 'e', r.id);
-    Response resp;
-    resp.status = ResponseStatus::Ok;
-    resp.id = r.id;
-    resp.output = std::move(r.output);
-    resp.queue_us = queue_us;
-    resp.service_us = service_us;
-    resp.batch_size = b;
-    r.promise.set_value(std::move(resp));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Request& r = batch[i];
+    if (!status.empty() && status[i] != ResponseStatus::Ok) {
+      finish(r, status[i]);
+    } else {
+      finish(r, ResponseStatus::Ok, micros_between(r.enqueue_time, t0), service_us, b);
+    }
   }
 }
 
@@ -352,10 +295,7 @@ void Server::worker_loop() {
       got = batcher_.next_batch(pb);
     }
     if (!got) break;
-    for (auto& r : pb.expired) {
-      stats_.record_rejected(ResponseStatus::RejectedDeadline);
-      resolve(r, ResponseStatus::RejectedDeadline);
-    }
+    for (auto& r : pb.expired) finish(r, ResponseStatus::RejectedDeadline);
     if (!pb.batch.empty()) dispatch(pb.batch);
   }
 }
@@ -371,10 +311,7 @@ void Server::shutdown() {
   // Whatever never got a worker (workers == 0, or pushed in the races
   // around close) still owes its client an answer.
   Request leftover;
-  while (queue_.try_pop_one(leftover)) {
-    stats_.record_rejected(ResponseStatus::RejectedShutdown);
-    resolve(leftover, ResponseStatus::RejectedShutdown);
-  }
+  while (queue_.try_pop_one(leftover)) finish(leftover, ResponseStatus::RejectedShutdown);
 }
 
 }  // namespace gpa::serve

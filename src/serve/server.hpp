@@ -95,11 +95,19 @@ class Server {
 
  private:
   void worker_loop();
+  /// Runs one batch and finishes every item in it. A kernel that throws
+  /// fails the whole batch with InternalError.
   void dispatch(std::vector<Request>& batch);
-  void dispatch_decode(std::vector<Request>& batch);
-  void dispatch_pattern(std::vector<Request>& batch);
+  /// Per-item outcomes (decode can fail one item and not the others).
+  std::vector<ResponseStatus> run_decode(std::vector<Request>& batch);
+  void run_pattern(std::vector<Request>& batch);
+  void run_attention(std::vector<Request>& batch);
   std::uint64_t fingerprint_of(const std::shared_ptr<const Csr<float>>& mask);
-  static void resolve(Request& r, ResponseStatus status);
+  /// The one terminal path: records the outcome in stats_, closes the
+  /// request's trace span and resolves its promise. Timings and batch
+  /// size are those of an Ok completion (0 for a rejection).
+  void finish(Request& r, ResponseStatus status, double queue_us = 0.0, double service_us = 0.0,
+              Index batch_size = 0);
 
   ServerConfig cfg_;
   RequestQueue queue_;

@@ -1,167 +1,85 @@
 #include "serve/server_stats.hpp"
 
-#include "obs/metrics.hpp"
+#include <algorithm>
+#include <numeric>
 
 namespace gpa::serve {
 
 namespace {
 
-// Cached references into the global registry so each record_* adds one
-// sharded-atomic bump on top of its locked update. The locked fields
-// stay the source of truth for StatsSnapshot (the one-lock consistency
-// contract in the header); these mirrors are what Op::Stats scrapes.
-struct ServeMetrics {
-  obs::Counter& submitted;
-  obs::Counter& completed;
-  obs::Counter& rejected_queue_full;
-  obs::Counter& rejected_deadline;
-  obs::Counter& rejected_shutdown;
-  obs::Counter& rejected_session;
-  obs::Counter& internal_errors;
-  obs::Counter& batches;
-  obs::Counter& batch_items;
-  obs::Gauge& queue_depth;
-  obs::Histogram& occupancy;
-  obs::Histogram& latency_ms;
-  obs::Histogram& service_ms;
+std::vector<double> occupancy_edges(Index max_batch) {
+  std::vector<double> e(static_cast<std::size_t>(std::max<Index>(max_batch, 0)));
+  std::iota(e.begin(), e.end(), 1.0);
+  return e;
+}
 
-  static ServeMetrics& get() {
-    static ServeMetrics m = [] {
-      obs::Registry& reg = obs::Registry::global();
-      const std::vector<double> ms_edges = {0.05, 0.1, 0.25, 0.5, 1,   2.5, 5,
-                                            10,   25,  50,   100, 250, 500, 1000};
-      return ServeMetrics{reg.counter("serve.requests.submitted"),
-                          reg.counter("serve.requests.completed"),
-                          reg.counter("serve.requests.rejected.queue_full"),
-                          reg.counter("serve.requests.rejected.deadline"),
-                          reg.counter("serve.requests.rejected.shutdown"),
-                          reg.counter("serve.requests.rejected.session"),
-                          reg.counter("serve.errors.internal"),
-                          reg.counter("serve.batches"),
-                          reg.counter("serve.batch.items"),
-                          reg.gauge("serve.queue.depth"),
-                          reg.histogram("serve.batch.occupancy",
-                                        {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}),
-                          reg.histogram("serve.latency_ms", ms_edges),
-                          reg.histogram("serve.service_ms", ms_edges)};
-    }();
-    return m;
-  }
-};
+const obs::BucketEdges& latency_edges_ms() {
+  static const obs::BucketEdges edges(obs::geometric_edges(1e-3, 1e5, 1.02));
+  return edges;
+}
+
+benchutil::TailStats tail_of(const obs::HistogramSample& h) {
+  return {h.quantile(0.50), h.quantile(0.95), h.quantile(0.99), h.quantile(1.0), h.count};
+}
 
 }  // namespace
 
-void ServerStats::record_submitted() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++submitted_;
-  }
-  ServeMetrics::get().submitted.inc();
+ServerStats::ServerStats(Index max_batch)
+    : occupancy_(occupancy_edges(max_batch)),
+      latency_ms_(latency_edges_ms()),
+      service_ms_(latency_edges_ms()) {}
+
+void ServerStats::record_rejected(ResponseStatus cause) noexcept {
+  rejected_[static_cast<std::size_t>(cause)].inc();
 }
 
-void ServerStats::record_rejected(ResponseStatus cause) {
-  ServeMetrics& m = ServeMetrics::get();
-  std::lock_guard<std::mutex> lk(mu_);
-  switch (cause) {
-    case ResponseStatus::RejectedQueueFull:
-      ++rejected_queue_full_;
-      m.rejected_queue_full.inc();
-      break;
-    case ResponseStatus::RejectedDeadline:
-      ++rejected_deadline_;
-      m.rejected_deadline.inc();
-      break;
-    case ResponseStatus::RejectedShutdown:
-      ++rejected_shutdown_;
-      m.rejected_shutdown.inc();
-      break;
-    case ResponseStatus::RejectedSession:
-      ++rejected_session_;
-      m.rejected_session.inc();
-      break;
-    case ResponseStatus::InternalError:
-      ++internal_errors_;
-      m.internal_errors.inc();
-      break;
-    case ResponseStatus::Ok: break;  // not a rejection
+void ServerStats::record_queue_depth(std::size_t depth) noexcept {
+  std::size_t seen = max_queue_depth_.load(std::memory_order_relaxed);
+  while (depth > seen &&
+         !max_queue_depth_.compare_exchange_weak(seen, depth, std::memory_order_relaxed)) {
   }
 }
 
-void ServerStats::record_internal_error() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++internal_errors_;
-  }
-  ServeMetrics::get().internal_errors.inc();
+void ServerStats::record_batch(Index occupancy) noexcept {
+  occupancy_.observe(static_cast<double>(occupancy));
 }
 
-void ServerStats::record_queue_depth(std::size_t depth) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (depth > max_queue_depth_) max_queue_depth_ = depth;
-  }
-  ServeMetrics::get().queue_depth.set(static_cast<std::int64_t>(depth));
-}
-
-void ServerStats::record_batch(Index occupancy) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++batches_;
-    const auto slot = static_cast<std::size_t>(occupancy);
-    if (occupancy_.size() <= slot) occupancy_.resize(slot + 1, 0);
-    ++occupancy_[slot];
-  }
-  ServeMetrics& m = ServeMetrics::get();
-  m.batches.inc();
-  m.batch_items.inc(static_cast<std::uint64_t>(occupancy));
-  m.occupancy.observe(static_cast<double>(occupancy));
-}
-
-void ServerStats::record_completion(double total_us, double service_us) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++completed_ok_;
-    latency_us_.push_back(total_us);
-    service_us_.push_back(service_us);
-  }
-  ServeMetrics& m = ServeMetrics::get();
-  m.completed.inc();
-  m.latency_ms.observe(total_us / 1000.0);
-  m.service_ms.observe(service_us / 1000.0);
+void ServerStats::record_completion(double total_us, double service_us) noexcept {
+  service_ms_.observe(service_us / 1000.0);  // before latency: snapshot() relies on it
+  latency_ms_.observe(total_us / 1000.0);
 }
 
 StatsSnapshot ServerStats::snapshot() const {
-  std::vector<double> latency, service;
+  // Acquire reads in the reverse of the recording order: a read that
+  // sees a (release) increment also sees what its writer recorded before
+  // it. record_completion observes service before latency, so reading
+  // latency first makes service.count >= latency.count.
+  const obs::HistogramSample latency = latency_ms_.sample();
+  const obs::HistogramSample service = service_ms_.sample();
+  const obs::HistogramSample occupancy = occupancy_.sample();
+  const auto rejected = [this](ResponseStatus s) {
+    return rejected_[static_cast<std::size_t>(s)].value();
+  };
   StatsSnapshot s;
-  {
-    // One critical section reads every field, and every record_* writes
-    // its coupled fields inside the same mutex — a snapshot can never
-    // see `completed_ok` advanced without the matching latency samples
-    // (pinned by the TSan-covered hammer in test_obs).
-    std::lock_guard<std::mutex> lk(mu_);
-    s.submitted = submitted_;
-    s.completed_ok = completed_ok_;
-    s.rejected_queue_full = rejected_queue_full_;
-    s.rejected_deadline = rejected_deadline_;
-    s.rejected_shutdown = rejected_shutdown_;
-    s.rejected_session = rejected_session_;
-    s.internal_errors = internal_errors_;
-    s.batches = batches_;
-    s.occupancy = occupancy_;
-    s.max_queue_depth = max_queue_depth_;
-    latency = latency_us_;
-    service = service_us_;
-  }
-  for (auto& x : latency) x /= 1000.0;  // µs → ms
-  for (auto& x : service) x /= 1000.0;
-  s.latency_ms = benchutil::compute_tail_stats(std::move(latency));
-  s.service_ms = benchutil::compute_tail_stats(std::move(service));
-  Size weighted = 0;
-  for (std::size_t b = 0; b < s.occupancy.size(); ++b) {
-    weighted += s.occupancy[b] * static_cast<Size>(b);
-  }
+  s.completed_ok = latency.count;
+  s.rejected_queue_full = rejected(ResponseStatus::RejectedQueueFull);
+  s.rejected_deadline = rejected(ResponseStatus::RejectedDeadline);
+  s.rejected_shutdown = rejected(ResponseStatus::RejectedShutdown);
+  s.rejected_session = rejected(ResponseStatus::RejectedSession);
+  s.internal_errors = rejected(ResponseStatus::InternalError);
+  // Submissions last, by the same argument: every outcome is recorded
+  // after its request's submission, so this counts every outcome above.
+  s.submitted = submitted_.value();
+
+  s.batches = occupancy.count;
+  s.occupancy.assign(occupancy.counts.size() + 1, 0);  // slot b ← bucket b − 1
+  std::copy(occupancy.counts.begin(), occupancy.counts.end(), s.occupancy.begin() + 1);
+  while (!s.occupancy.empty() && s.occupancy.back() == 0) s.occupancy.pop_back();
   s.mean_batch_occupancy =
-      s.batches > 0 ? static_cast<double>(weighted) / static_cast<double>(s.batches) : 0.0;
+      s.batches > 0 ? occupancy.sum / static_cast<double>(s.batches) : 0.0;
+  s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
+  s.latency_ms = tail_of(latency);
+  s.service_ms = tail_of(service);
   return s;
 }
 

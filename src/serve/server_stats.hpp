@@ -1,25 +1,35 @@
 #pragma once
-// Thread-safe serving metrics. Counters cover the full admission
-// funnel (submitted → accepted → completed/rejected-by-cause), gauges
-// track queue depth, and two latency series (end-to-end and service)
-// feed the p50/p95/p99 tail summary via benchutil's percentile
-// machinery. The batch-occupancy histogram is the direct evidence for
-// whether the batching policy actually coalesces work.
+// Serving metrics, owned by one Server. Counters cover the full
+// admission funnel (submitted → completed/rejected-by-cause), the
+// latency histograms (end-to-end and service) feed the p50/p95/p99/max
+// tail summary, and the batch-occupancy histogram is the direct
+// evidence for whether the batching policy actually coalesces work.
 //
-// Consistency contract: every record_* mutates its coupled fields
-// under ONE mutex and snapshot() reads every field in one critical
-// section of the same mutex, so a snapshot can never observe torn
-// pairs — e.g. completed_ok advanced without the matching latency
-// sample, or batches without its occupancy slot. The registry-atomics
-// mirror (obs::Registry::global(), `serve.*` names) exists for the
-// live scrape path and is monotone-per-metric but NOT a cross-metric
-// cut; anything that checks the funnel invariants must read
-// snapshot(), not the registry.
+// Every record_* is a release add or two on obs::Counter /
+// obs::Histogram shards (no lock), and memory is fixed at construction
+// however many requests the server answers. snapshot() reads with
+// acquire loads in the reverse of the recording order, so a reader that
+// sees an event also sees what its writer recorded before it (the
+// argument is spelled out in snapshot()). What a snapshot taken while
+// writers run guarantees:
+//   * completed_ok == latency_ms.samples, and the occupancy slots sum to
+//     batches: each pair is one histogram's buckets, read once.
+//   * service_ms.samples >= completed_ok: a completion records service
+//     before latency, so service can run ahead by the completions in
+//     flight (the two agree once writers are quiet).
+//   * submitted >= every outcome counted.
+//
+// Quantiles come from geometric latency buckets (ratio 1.02 from 1 µs
+// to 100 s), so each of p50/p95/p99/max is within 2% of the exact
+// sample percentile (obs::HistogramSample::quantile). Occupancy buckets
+// are the integers 1..max_batch, so per-slot counts are exact.
 
-#include <mutex>
+#include <array>
+#include <atomic>
 #include <vector>
 
 #include "benchutil/stats.hpp"
+#include "obs/metrics.hpp"
 #include "serve/request.hpp"
 
 namespace gpa::serve {
@@ -35,43 +45,45 @@ struct StatsSnapshot {
 
   Size batches = 0;
   /// occupancy[b] = number of batches dispatched with exactly b
-  /// requests (index 0 unused).
+  /// requests, b in 1..max_batch (index 0 unused). Trailing empty slots
+  /// are trimmed.
   std::vector<Size> occupancy;
   double mean_batch_occupancy = 0.0;
 
   std::size_t max_queue_depth = 0;
 
   /// End-to-end (admission → kernel done) and service (dispatch →
-  /// kernel done) latency tails, milliseconds.
+  /// kernel done) latency tails, milliseconds. While writers run,
+  /// service_ms.samples may exceed completed_ok by the completions in
+  /// flight; latency_ms.samples always equals it.
   benchutil::TailStats latency_ms;
   benchutil::TailStats service_ms;
 };
 
 class ServerStats {
  public:
-  void record_submitted();
-  void record_rejected(ResponseStatus cause);
-  void record_internal_error();
-  void record_queue_depth(std::size_t depth);
-  void record_batch(Index occupancy);
-  void record_completion(double total_us, double service_us);
+  /// Occupancy buckets are 1..max_batch (the batcher's ceiling).
+  explicit ServerStats(Index max_batch);
+
+  void record_submitted() noexcept { submitted_.inc(); }
+  /// A terminal outcome other than Ok (InternalError included).
+  void record_rejected(ResponseStatus cause) noexcept;
+  void record_queue_depth(std::size_t depth) noexcept;
+  /// occupancy in 1..max_batch.
+  void record_batch(Index occupancy) noexcept;
+  void record_completion(double total_us, double service_us) noexcept;
 
   StatsSnapshot snapshot() const;
 
  private:
-  mutable std::mutex mu_;
-  Size submitted_ = 0;
-  Size completed_ok_ = 0;
-  Size rejected_queue_full_ = 0;
-  Size rejected_deadline_ = 0;
-  Size rejected_shutdown_ = 0;
-  Size rejected_session_ = 0;
-  Size internal_errors_ = 0;
-  Size batches_ = 0;
-  std::vector<Size> occupancy_;
-  std::size_t max_queue_depth_ = 0;
-  std::vector<double> latency_us_;
-  std::vector<double> service_us_;
+  obs::Counter submitted_;
+  /// Indexed by ResponseStatus; the Ok slot stays 0 (completions are
+  /// the latency histogram's count).
+  std::array<obs::Counter, static_cast<std::size_t>(ResponseStatus::InternalError) + 1> rejected_;
+  std::atomic<std::size_t> max_queue_depth_{0};
+  obs::Histogram occupancy_;
+  obs::Histogram latency_ms_;
+  obs::Histogram service_ms_;
 };
 
 }  // namespace gpa::serve

@@ -119,6 +119,16 @@ TEST(CliSmoke, ServeBenchOpenLoopRuns) {
   EXPECT_NE(r.output.find("throughput:"), std::string::npos) << r.output;
 }
 
+TEST(CliSmoke, MaskFileRoundTripsThroughInfo) {
+  const std::string path = testing::TempDir() + "gpa_cli_mask.bin";
+  const auto w = run_cli("mask --pattern local --length 64 --window 4 --out " + path);
+  EXPECT_EQ(w.exit_code, 0) << w.output;
+  const auto r = run_cli("info --in " + path);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("shape:       64 x 64"), std::string::npos) << r.output;
+  std::remove(path.c_str());
+}
+
 TEST(CliSmoke, UnknownPatternFailsCleanly) {
   const auto r = run_cli("mask --pattern nope --length 64");
   EXPECT_EQ(r.exit_code, 1);

@@ -1,13 +1,12 @@
 // Memory-model tests: Table II reproduction (the paper's theoretical
 // context-length limits on an 80 GiB A100), monotonicity properties, and
-// agreement between the analytic model and the empirical MemoryTracker.
+// exact feasibility boundaries (bytes_required(maxL) fits, maxL+1 not).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "memmodel/memory_model.hpp"
-#include "parallel/memory_tracker.hpp"
 
 namespace gpa::memmodel {
 namespace {
@@ -208,23 +207,6 @@ TEST(DeviceTable, CurveMonotoneInLengthOnNewDevices) {
 TEST(MemModelProperties, ZeroWhenNothingFits) {
   const DeviceSpec tiny = DeviceSpec::host(16);
   EXPECT_EQ(max_context_length(Algo::SdpMasked, tiny, cfg(DType::F32, 64, 1)), 0);
-}
-
-TEST(MemModelVsTracker, AnalyticBoundaryMatchesEmpiricalOom) {
-  // Register the model's tensor set against a small tracker: the max L
-  // the model reports must allocate cleanly, and L+1 must OOM.
-  const DeviceSpec dev = DeviceSpec::host(1 << 20);  // 1 MiB toy device
-  const auto c = cfg(DType::F32, 16, 1, 0.01);
-  const Index maxL = max_context_length(Algo::Csr, dev, c);
-  ASSERT_GT(maxL, 0);
-  {
-    MemoryTracker t(dev);
-    EXPECT_NO_THROW(MemoryLease(t, bytes_required(Algo::Csr, maxL, c)));
-  }
-  {
-    MemoryTracker t(dev);
-    EXPECT_THROW(MemoryLease(t, bytes_required(Algo::Csr, maxL + 1, c)), OutOfDeviceMemory);
-  }
 }
 
 TEST(LongNetTableTest, MatchesSection2D) {

@@ -168,6 +168,16 @@ TEST(Frame, CsrCodecRoundTripsAndValidates) {
   net::put_csr(wb, bad);
   net::Reader rb(wb.buf);
   EXPECT_FALSE(net::get_csr(rb, out));
+
+  // A row count so large that the byte count of its offsets wraps to 8,
+  // with 8 bytes left: rejected before any allocation.
+  net::Writer wh;
+  wh.i64(std::int64_t{1} << 61);
+  wh.i64(4);
+  wh.u64(0);
+  wh.i64(0);
+  net::Reader rh(wh.buf);
+  EXPECT_FALSE(net::get_csr(rh, out));
 }
 
 TEST(Frame, PartitionCodecRoundTripsAndValidates) {

@@ -1,21 +1,23 @@
 // Observability-layer tests: metrics registry semantics (sharded
-// counters under contention, histogram bucket boundaries, snapshot
-// lookups and exposition), trace-ring behavior (wraparound accounting,
-// Chrome JSON well-formedness, disabled-mode no-op), the span/counter
-// reconciliation over a real served workload, and the ServerStats
-// torn-pair hammer the consistency contract in server_stats.hpp names
-// (run under the CI TSan leg).
+// counters under contention, histogram bucket boundaries and quantile
+// error bound, snapshot lookups and exposition), trace-ring behavior
+// (wraparound accounting, Chrome JSON well-formedness, disabled-mode
+// no-op), the span/ServerStats reconciliation over a real served
+// workload, and the ServerStats torn-pair hammer the consistency
+// contract in server_stats.hpp names (run under the CI TSan leg).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "benchutil/stats.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -137,6 +139,43 @@ TEST(Histogram, BucketEdgesAreInclusiveUpperBounds) {
 
   EXPECT_THROW(obs::Histogram({2.0, 1.0}), InvalidArgument);  // not ascending
   EXPECT_THROW(obs::Histogram({}), InvalidArgument);          // empty
+}
+
+// The documented bound: on geometric edges, every quantile is within a
+// relative error of ratio − 1 of the exact sample percentile.
+TEST(Histogram, QuantilesStayWithinTheGeometricBucketBound) {
+  constexpr double kRatio = 1.02;
+  obs::Histogram h(obs::geometric_edges(1e-3, 1e5, kRatio));
+  Rng rng(2024);
+  std::vector<double> samples(100'000);
+  for (double& x : samples) {
+    x = std::exp(std::log(2e-3) + rng.next_double() * (std::log(5e4) - std::log(2e-3)));
+    h.observe(x);
+  }
+  const obs::HistogramSample hs = h.sample();
+  ASSERT_EQ(hs.count, samples.size());
+  for (const double pct : {50.0, 95.0, 99.0, 100.0}) {
+    const double exact = benchutil::percentile(samples, pct);
+    EXPECT_LE(std::abs(hs.quantile(pct / 100.0) - exact), (kRatio - 1.0) * exact * (1.0 + 1e-9))
+        << "p" << pct;
+  }
+}
+
+TEST(Histogram, QuantilesAreMonotoneOnTinySamples) {
+  const std::vector<double> edges = obs::geometric_edges(1e-3, 1e5, 1.02);
+  for (const std::vector<double>& xs :
+       {std::vector<double>{3.0}, std::vector<double>{0.5, 40.0}, std::vector<double>{7, 7, 0.01}}) {
+    obs::Histogram h(edges);
+    for (const double x : xs) h.observe(x);
+    const obs::HistogramSample hs = h.sample();
+    const double p50 = hs.quantile(0.50), p95 = hs.quantile(0.95), p99 = hs.quantile(0.99),
+                 max = hs.quantile(1.0);
+    EXPECT_LE(p50, p95) << xs.size();
+    EXPECT_LE(p95, p99) << xs.size();
+    EXPECT_LE(p99, max) << xs.size();
+    EXPECT_GT(p50, 0.0) << xs.size();
+  }
+  EXPECT_EQ(obs::Histogram(edges).sample().quantile(0.5), 0.0);  // empty
 }
 
 // --- trace ring ------------------------------------------------------
@@ -279,14 +318,14 @@ std::shared_ptr<const serve::RequestData> make_payload(Index L, Index d, std::ui
   return data;
 }
 
-TEST_F(TraceTest, ServedWorkloadSpansReconcileWithRegistryCounters) {
+TEST_F(TraceTest, ServedWorkloadSpansReconcileWithServerStats) {
   const Index L = 32, d = 8;
   auto mask = std::make_shared<const Csr<float>>(build_csr_random(L, RandomParams{0.2, 3}));
   auto payload = make_payload(L, d, 17);
 
-  obs::MetricsSnapshot before = obs::Registry::global().snapshot();
   trace::set_enabled(true);
   constexpr Size kRequests = 48;
+  serve::StatsSnapshot stats;
   {
     serve::ServerConfig cfg;
     cfg.workers = 1;
@@ -303,9 +342,9 @@ TEST_F(TraceTest, ServedWorkloadSpansReconcileWithRegistryCounters) {
     }
     for (auto& f : futures) ASSERT_EQ(f.get().status, serve::ResponseStatus::Ok);
     server.shutdown();
+    stats = server.stats();
   }
   trace::set_enabled(false);
-  obs::MetricsSnapshot after = obs::Registry::global().snapshot();
   ASSERT_EQ(trace::dropped(), 0u) << "ring too small for the workload";
 
   const std::vector<trace::Event> events = trace::drain_snapshot();
@@ -331,13 +370,13 @@ TEST_F(TraceTest, ServedWorkloadSpansReconcileWithRegistryCounters) {
   EXPECT_EQ(ends, kRequests);
   EXPECT_EQ(items, kRequests);
 
-  // Spans and the registry's counters describe the same run.
-  EXPECT_EQ(after.counter("serve.requests.submitted") - before.counter("serve.requests.submitted"),
-            kRequests);
-  EXPECT_EQ(after.counter("serve.requests.completed") - before.counter("serve.requests.completed"),
-            kRequests);
-  EXPECT_EQ(after.counter("serve.batches") - before.counter("serve.batches"), dispatches);
-  EXPECT_EQ(after.counter("serve.batch.items") - before.counter("serve.batch.items"), items);
+  // Spans and the server's stats describe the same run.
+  EXPECT_EQ(stats.submitted, kRequests);
+  EXPECT_EQ(stats.completed_ok, kRequests);
+  EXPECT_EQ(stats.batches, dispatches);
+  Size batch_items = 0;
+  for (std::size_t b = 0; b < stats.occupancy.size(); ++b) batch_items += b * stats.occupancy[b];
+  EXPECT_EQ(batch_items, items);
 
   // Nesting: every item interval sits inside some dispatch interval
   // (items run on pool threads, so containment is by timestamp, not
@@ -357,14 +396,13 @@ TEST_F(TraceTest, ServedWorkloadSpansReconcileWithRegistryCounters) {
 
 // --- ServerStats torn-pair hammer (TSan coverage) --------------------
 
-// The consistency contract under test (server_stats.hpp): a snapshot
-// can never observe completed_ok without its latency samples, or
-// batches without the matching occupancy slot. Run under TSan this also
-// pins the implementation to its single-mutex design — any lock-free
-// "optimization" that can tear shows up as a data race or a failed
-// invariant here.
+// The consistency contract under test (server_stats.hpp): while
+// writers race, a snapshot never shows completed_ok without its latency
+// or service samples, batches without the matching occupancy slot, or
+// more outcomes than submissions. Run under TSan this also pins the
+// lock-free recording as race-free.
 TEST(ServerStatsHammer, SnapshotNeverObservesTornPairs) {
-  serve::ServerStats stats;
+  serve::ServerStats stats(/*max_batch=*/4);
   constexpr int kWriters = 4;
   constexpr int kIters = 4'000;
   std::atomic<bool> done{false};
@@ -389,9 +427,11 @@ TEST(ServerStatsHammer, SnapshotNeverObservesTornPairs) {
   std::thread reader([&stats, &done] {
     while (!done.load(std::memory_order_relaxed)) {
       const serve::StatsSnapshot s = stats.snapshot();
-      // Coupled pairs, guarded by the same mutex as the writers.
+      // Coupled pairs: each is read from one histogram's buckets.
       ASSERT_EQ(s.completed_ok, s.latency_ms.samples);
-      ASSERT_EQ(s.completed_ok, s.service_ms.samples);
+      // Service is recorded before latency and read after it, so it can
+      // run ahead of completed_ok but never behind.
+      ASSERT_GE(s.service_ms.samples, s.completed_ok);
       Size occupancy_total = 0;
       for (const Size n : s.occupancy) occupancy_total += n;
       ASSERT_EQ(occupancy_total, s.batches);
@@ -411,6 +451,7 @@ TEST(ServerStatsHammer, SnapshotNeverObservesTornPairs) {
   EXPECT_EQ(s.rejected_queue_full, expected_rejects);
   EXPECT_EQ(s.completed_ok, static_cast<Size>(kWriters) * kIters - expected_rejects);
   EXPECT_EQ(s.batches, s.completed_ok);
+  EXPECT_EQ(s.service_ms.samples, s.completed_ok);
 }
 
 }  // namespace

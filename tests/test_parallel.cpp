@@ -1,7 +1,6 @@
 // Tests for the parallel runtime substrate: parallel_for semantics under
 // both schedules, exception propagation, nesting degradation,
-// parallel_reduce determinism, the thread pool, and the
-// device-capacity memory tracker.
+// parallel_reduce determinism, and the device presets.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +14,9 @@
 #include <vector>
 
 #include "parallel/device_spec.hpp"
-#include "parallel/memory_tracker.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
 #include "parallel/parallel_region.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gpa {
 namespace {
@@ -210,107 +207,10 @@ TEST(ParallelReduceTest, FloatSumIsBitIdenticalAcrossPoliciesAtFixedGrain) {
   }
 }
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count++; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  EXPECT_EQ(pool.size(), 2);
-}
-
-TEST(ThreadPoolTest, TasksCanBeSubmittedAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] { count++; });
-  pool.wait_idle();
-  pool.submit([&] { count++; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPoolTest, ThrowingTaskPropagatesFromWaitIdle) {
-  // The regression this pins: a throwing task used to escape
-  // worker_loop (std::terminate) and leave in_flight_ forever nonzero
-  // (wait_idle deadlock). Now the error is stashed and rethrown here,
-  // after everything in flight has drained.
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) pool.submit([&] { ran++; });
-  pool.submit([] { throw std::runtime_error("task failure"); });
-  for (int i = 0; i < 8; ++i) pool.submit([&] { ran++; });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 16);  // the failure never cancels other tasks
-}
-
-TEST(ThreadPoolTest, PoolStaysUsableAfterTaskFailure) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failure"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error was consumed by the rethrow: the pool accepts new work
-  // and the next wait_idle is clean.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 4; ++i) pool.submit([&] { count++; });
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(count.load(), 4);
-}
-
 TEST(DeviceSpecTest, PresetsMatchTable1Capacities) {
   EXPECT_EQ(DeviceSpec::a100_80gb().memory_bytes, 80ull << 30);
   EXPECT_EQ(DeviceSpec::l40_48gb().memory_bytes, 48ull << 30);
   EXPECT_EQ(DeviceSpec::v100_32gb().memory_bytes, 32ull << 30);
-}
-
-TEST(MemoryTrackerTest, AllocatesWithinBudget) {
-  MemoryTracker tracker(DeviceSpec::host(1000));
-  tracker.allocate(600);
-  EXPECT_EQ(tracker.in_use(), 600u);
-  tracker.allocate(400);
-  EXPECT_EQ(tracker.in_use(), 1000u);
-  EXPECT_EQ(tracker.peak(), 1000u);
-}
-
-TEST(MemoryTrackerTest, ThrowsOnExhaustion) {
-  MemoryTracker tracker(DeviceSpec::host(1000));
-  tracker.allocate(999);
-  EXPECT_THROW(tracker.allocate(2), OutOfDeviceMemory);
-  EXPECT_EQ(tracker.in_use(), 999u);  // failed allocation leaves state unchanged
-}
-
-TEST(MemoryTrackerTest, ReleaseAllowsReuse) {
-  MemoryTracker tracker(DeviceSpec::host(100));
-  tracker.allocate(100);
-  tracker.release(100);
-  EXPECT_NO_THROW(tracker.allocate(100));
-  EXPECT_EQ(tracker.peak(), 100u);
-}
-
-TEST(MemoryTrackerTest, LeaseReleasesOnScopeExit) {
-  MemoryTracker tracker(DeviceSpec::host(100));
-  {
-    MemoryLease lease(tracker, 80);
-    EXPECT_EQ(tracker.in_use(), 80u);
-  }
-  EXPECT_EQ(tracker.in_use(), 0u);
-}
-
-TEST(MemoryTrackerTest, ConcurrentAllocationsNeverExceedBudget) {
-  MemoryTracker tracker(DeviceSpec::host(1000));
-  std::atomic<int> failures{0};
-  parallel_for(0, 64, ExecPolicy{8, 1, Schedule::Dynamic}, [&](Index) {
-    try {
-      tracker.allocate(100);
-    } catch (const OutOfDeviceMemory&) {
-      failures++;
-    }
-  });
-  EXPECT_EQ(tracker.in_use(), 1000u);  // exactly 10 succeeded
-  EXPECT_EQ(failures.load(), 54);
 }
 
 }  // namespace

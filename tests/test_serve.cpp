@@ -1,9 +1,11 @@
 // Serving-layer tests: admission control, dynamic batching compatibility
-// rules, deadline handling, clean shutdown with in-flight requests, and
-// single-request parity with a direct kernel call (the serving layer
-// must be a scheduling layer, never a numerics layer).
+// rules, deadline handling, clean shutdown with in-flight requests,
+// stats funnel and bounded stats memory, and single-request parity with
+// a direct kernel call (the serving layer must be a scheduling layer,
+// never a numerics layer).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -423,6 +425,27 @@ TEST(ServeStats, FunnelAndOccupancyInvariants) {
   EXPECT_GE(s.mean_batch_occupancy, 1.0);
 }
 
+// Stats memory is fixed by configuration, not by requests served: ten
+// million completions cost no more memory than the first ten thousand.
+TEST(ServeStats, MemoryStaysFlatOverTenMillionCompletions) {
+  const auto peak_rss_kb = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;  // KiB on Linux
+  };
+  ServerStats stats(/*max_batch=*/8);
+  constexpr int kWarm = 10'000;
+  constexpr int kTotal = 10'000'000;
+  const auto record = [&stats](int i) {
+    stats.record_completion(100.0 + i % 977, 50.0 + i % 311);
+  };
+  for (int i = 0; i < kWarm; ++i) record(i);
+  const long after_warm = peak_rss_kb();
+  for (int i = kWarm; i < kTotal; ++i) record(i);
+  EXPECT_LE(peak_rss_kb() - after_warm, 1024);
+  EXPECT_EQ(stats.snapshot().completed_ok, static_cast<Size>(kTotal));
+}
+
 TEST(ServeStats, PreallocatedOutputRoundTripsWithoutRealloc) {
   const Index L = 16, d = 4;
   auto mask = std::make_shared<const Csr<float>>(build_csr_local(L, LocalParams{2}));
@@ -715,7 +738,7 @@ TEST(ServeDecode, UnknownSessionAndMissingManagerRejectCleanly) {
     EXPECT_EQ(s.internal_errors, 0u);  // a missing session is not a crash
   }
   // Width mismatch against the pool is a contract violation caught at
-  // admission — dispatch_decode uses the unchecked raw-pointer
+  // admission — run_decode uses the unchecked raw-pointer
   // decode_step, so letting it through would corrupt memory.
   {
     ServerConfig cfg = make_config(1, 8, BatchPolicy{1, 0us});

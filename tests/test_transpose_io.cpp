@@ -1,15 +1,20 @@
-// Tests for CSR transpose (backward-pass substrate) and mask
-// serialization.
+// Tests for CSR transpose (backward-pass substrate) and mask files
+// (one net frame carrying the wire CSR codec), including a seeded
+// truncation / bit-flip loop: a damaged file must fail with
+// InvalidArgument, never bad_alloc or a crash.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <numeric>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "net/frame.hpp"
 #include "sparse/build.hpp"
-#include "sparse/io.hpp"
 #include "sparse/transpose.hpp"
 
 namespace gpa {
@@ -100,14 +105,24 @@ class IoFixture : public ::testing::Test {
  protected:
   std::string path_ = (std::filesystem::temp_directory_path() / "gpa_mask_test.bin").string();
   void TearDown() override { std::filesystem::remove(path_); }
+
+  std::vector<std::uint8_t> read_file() const {
+    std::ifstream in(path_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+  void write_file(const std::vector<std::uint8_t>& bytes) const {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
 };
 
 TEST_F(IoFixture, RoundTripPreservesEverything) {
   auto mask = build_csr_random(128, RandomParams{0.07, 16});
   Rng rng(17);
   for (auto& v : mask.values) v = rng.next_float();
-  save_csr(mask, path_);
-  const auto loaded = load_csr(path_);
+  net::save_mask(mask, path_);
+  const auto loaded = net::load_mask(path_);
   EXPECT_EQ(loaded.rows, mask.rows);
   EXPECT_EQ(loaded.cols, mask.cols);
   EXPECT_EQ(loaded.row_offsets, mask.row_offsets);
@@ -119,26 +134,69 @@ TEST_F(IoFixture, RejectsGarbageFile) {
   std::ofstream out(path_, std::ios::binary);
   out << "this is not a mask";
   out.close();
-  EXPECT_THROW(load_csr(path_), InvalidArgument);
+  EXPECT_THROW(net::load_mask(path_), InvalidArgument);
 }
 
 TEST_F(IoFixture, RejectsTruncatedFile) {
   const auto mask = build_csr_local(64, LocalParams{4});
-  save_csr(mask, path_);
+  net::save_mask(mask, path_);
   std::filesystem::resize_file(path_, std::filesystem::file_size(path_) / 2);
-  EXPECT_THROW(load_csr(path_), InvalidArgument);
+  EXPECT_THROW(net::load_mask(path_), InvalidArgument);
 }
 
 TEST_F(IoFixture, MissingFileThrows) {
-  EXPECT_THROW(load_csr("/nonexistent/dir/mask.bin"), InvalidArgument);
+  EXPECT_THROW(net::load_mask("/nonexistent/dir/mask.bin"), InvalidArgument);
+}
+
+TEST_F(IoFixture, DamagedFilesFailWithInvalidArgument) {
+  auto mask = build_csr_random(48, RandomParams{0.1, 18});
+  net::save_mask(mask, path_);
+  const std::vector<std::uint8_t> good = read_file();
+  Rng rng(19);
+
+  // Every truncation, including the empty file.
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    write_file({good.begin(), good.begin() + static_cast<std::ptrdiff_t>(n)});
+    EXPECT_THROW(net::load_mask(path_), InvalidArgument) << "truncated to " << n;
+  }
+  // Single-bit flips anywhere: header, payload, checksum trailer.
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::uint8_t> bad = good;
+    const std::size_t bit = rng.next_below(bad.size() * 8);
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    write_file(bad);
+    EXPECT_THROW(net::load_mask(path_), InvalidArgument) << "bit " << bit;
+  }
+  // Flips inside the payload behind a valid checksum reach the CSR
+  // decoder itself: each must load a canonical mask or throw
+  // InvalidArgument (a flipped value bit is still a valid mask). Every
+  // bit of the rows/cols/nnz header is flipped, then seeded ones.
+  net::Frame frame;
+  ASSERT_EQ(net::decode_frame(good.data(), good.size(), frame), net::WireStatus::Ok);
+  std::vector<std::size_t> bits(3 * 64);
+  std::iota(bits.begin(), bits.end(), std::size_t{0});
+  for (int trial = 0; trial < 400; ++trial) {
+    bits.push_back(rng.next_below(frame.payload.size() * 8));
+  }
+  for (const std::size_t bit : bits) {
+    net::Frame bad = frame;
+    bad.payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    std::vector<std::uint8_t> bytes;
+    net::encode_frame(bad, bytes);
+    write_file(bytes);
+    try {
+      EXPECT_TRUE(net::load_mask(path_).is_canonical()) << "bit " << bit;
+    } catch (const InvalidArgument&) {
+    }
+  }
 }
 
 TEST_F(IoFixture, EmptyMaskRoundTrips) {
   Csr<float> empty;
   empty.rows = empty.cols = 10;
   empty.row_offsets.assign(11, 0);
-  save_csr(empty, path_);
-  const auto loaded = load_csr(path_);
+  net::save_mask(empty, path_);
+  const auto loaded = net::load_mask(path_);
   EXPECT_EQ(loaded.nnz(), 0u);
   EXPECT_EQ(loaded.rows, 10);
 }

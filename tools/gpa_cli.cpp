@@ -54,7 +54,6 @@
 #include "serve/serve.hpp"
 #include "simd/simd.hpp"
 #include "sparse/build.hpp"
-#include "sparse/io.hpp"
 #include "sparse/nnz.hpp"
 #include "sparse/presets.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -191,7 +190,7 @@ int cmd_mask(const Args& args) {
   print_mask_info(mask);
   const std::string out = args.get("out", "");
   if (!out.empty()) {
-    save_csr(mask, out);
+    net::save_mask(mask, out);
     std::cout << "written:     " << out << "\n";
   }
   return 0;
@@ -200,7 +199,7 @@ int cmd_mask(const Args& args) {
 int cmd_info(const Args& args) {
   const std::string in = args.get("in", "");
   GPA_CHECK(!in.empty(), "info requires --in <path>");
-  print_mask_info(load_csr(in));
+  print_mask_info(net::load_mask(in));
   return 0;
 }
 
