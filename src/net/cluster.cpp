@@ -2,9 +2,11 @@
 
 #include <chrono>
 #include <cstring>
+#include <exception>
 
 #include "common/error.hpp"
 #include "common/fnv1a.hpp"
+#include "obs/trace.hpp"
 
 namespace gpa::net {
 
@@ -151,6 +153,56 @@ obs::MetricsSnapshot ClusterClient::node_stats(std::uint64_t node_id) {
   return snap;
 }
 
+namespace {
+/// Rows [lo, hi) of `mask` as a mask of the same shape whose other rows
+/// are empty: a node ships only the rows it folds, and keeps global row
+/// and column ids.
+Csr<float> own_rows(const Csr<float>& mask, Index lo, Index hi) {
+  Csr<float> s;
+  s.rows = mask.rows;
+  s.cols = mask.cols;
+  const Index base = mask.row_begin(lo);
+  const Index top = mask.row_begin(hi);
+  s.row_offsets.assign(mask.row_offsets.size(), top - base);
+  for (Index i = 0; i <= hi; ++i) {
+    s.row_offsets[static_cast<std::size_t>(i)] = i < lo ? 0 : mask.row_begin(i) - base;
+  }
+  s.col_idx.assign(mask.col_idx.begin() + base, mask.col_idx.begin() + top);
+  s.values.assign(mask.values.begin() + base, mask.values.begin() + top);
+  return s;
+}
+}  // namespace
+
+std::vector<std::vector<std::uint8_t>> ClusterClient::fan_out(
+    Op op, std::vector<std::vector<std::uint8_t>> bodies) {
+  // One span per phase: the sends and receives of P peers interleave,
+  // so per-call spans would overlap as siblings.
+  obs::trace::Span span(to_string(op), "net.rpc");
+  const std::size_t n = bodies.size();
+  std::vector<std::uint64_t> ids(n, 0);
+  std::vector<std::vector<std::uint8_t>> out(n);
+  std::exception_ptr first;
+  for (std::size_t p = 0; p < n && !first; ++p) {
+    try {
+      ids[p] = peers_[p].rpc->send(op, std::move(bodies[p]));
+    } catch (...) {
+      first = std::current_exception();
+    }
+  }
+  // Every request sent is answered and read, even after a failure, so
+  // no healthy connection is left holding a stale response.
+  for (std::size_t p = 0; p < n; ++p) {
+    if (ids[p] == 0) continue;
+    try {
+      out[p] = peers_[p].rpc->receive(ids[p]);
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+  return out;
+}
+
 ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matrix<float>& k,
                                               const Matrix<float>& v, const Csr<float>& mask,
                                               const seqpar::Partition& partition, bool causal,
@@ -158,6 +210,7 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
   const Index L = q.rows();
   const Index d = q.cols();
   const Index P = static_cast<Index>(peers_.size());
+  const std::size_t np = peers_.size();
   GPA_CHECK(P > 0, "cluster: no peers");
   GPA_CHECK(partition.parts() == P, "cluster: partition parts must equal peer count");
   GPA_CHECK(!partition.boundaries.empty() && partition.boundaries.front() == 0 &&
@@ -180,8 +233,18 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
     }
     return s;
   };
+  auto rid_only = [&] {
+    std::vector<std::vector<std::uint8_t>> bodies(np);
+    for (auto& b : bodies) {
+      Writer w;
+      w.u64(rid);
+      b = std::move(w.buf);
+    }
+    return bodies;
+  };
 
   // Step 0: every node gets its Q rows and the K/V shard it owns.
+  std::vector<std::vector<std::uint8_t>> starts(np);
   for (Index p = 0; p < P; ++p) {
     const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
     const Index hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
@@ -190,47 +253,49 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
     w.u32(static_cast<std::uint32_t>(P));
     w.u32(static_cast<std::uint32_t>(p));
     put_partition(w, partition);
-    put_csr(w, mask);
+    put_csr(w, own_rows(mask, lo, hi));
     w.u8(causal ? 1 : 0);
     w.f32(scale);
     put_matrix(w, slice(q, lo, hi));
     put_matrix(w, slice(k, lo, hi));
     put_matrix(w, slice(v, lo, hi));
-    peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingStart, std::move(w.buf));
+    starts[static_cast<std::size_t>(p)] = std::move(w.buf);
   }
+  fan_out(Op::RingStart, std::move(starts));
 
   // Steps 1..P-1: rotate. Node p needs shard (p+s) mod P at step s; the
-  // router fetches it from its owner and relays it (see cluster.hpp for
-  // the star-vs-p2p trade). Delivery order within a step is irrelevant:
-  // nodes fold deferred-in-order regardless of arrival order.
+  // router fetches every shard from its owner, then relays each to its
+  // consumer (see cluster.hpp for the star-vs-p2p trade). Delivery
+  // order is irrelevant: nodes fold deferred-in-order regardless of
+  // arrival order.
   for (Index s = 1; s < P; ++s) {
+    const auto fetched = fan_out(Op::RingFetch, rid_only());
+    std::vector<Reader> shards;
+    for (Index owner = 0; owner < P; ++owner) {
+      Reader& fr = shards.emplace_back(fetched[static_cast<std::size_t>(owner)]);
+      const Index idx = static_cast<Index>(fr.u32());
+      GPA_CHECK(fr.ok && idx == owner, "cluster: ring fetch returned wrong shard");
+    }
+    std::vector<std::vector<std::uint8_t>> deliveries(np);
     for (Index p = 0; p < P; ++p) {
       const Index shard = (p + s) % P;
-      Writer fw;
-      fw.u64(rid);
-      const auto fetched =
-          peers_[static_cast<std::size_t>(shard)].rpc->call(Op::RingFetch, std::move(fw.buf));
-      Reader fr(fetched);
-      const Index idx = static_cast<Index>(fr.u32());
-      GPA_CHECK(fr.ok && idx == shard, "cluster: ring fetch returned wrong shard");
+      const Reader& fr = shards[static_cast<std::size_t>(shard)];
       Writer w;
       w.u64(rid);
       w.u32(static_cast<std::uint32_t>(shard));
       w.bytes(fr.p, fr.remaining());  // shard K/V matrices, verbatim
-      peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingShard, std::move(w.buf));
-      ++report.shard_deliveries;
+      deliveries[static_cast<std::size_t>(p)] = std::move(w.buf);
     }
+    fan_out(Op::RingShard, std::move(deliveries));
+    report.shard_deliveries += static_cast<Size>(P);
   }
 
   // Collect each node's finalized rows.
+  const auto finished = fan_out(Op::RingFinish, rid_only());
   for (Index p = 0; p < P; ++p) {
     const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
     const Index hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
-    Writer w;
-    w.u64(rid);
-    const auto body = peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingFinish,
-                                                                    std::move(w.buf));
-    Reader r(body);
+    Reader r(finished[static_cast<std::size_t>(p)]);
     Matrix<float> rows;
     GPA_CHECK(get_matrix(r, rows), "cluster: bad ring finish response");
     const Size edges = r.u64();

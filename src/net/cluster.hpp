@@ -10,16 +10,28 @@
 //
 // Ring prefill topology: the router *relays* the rotation (star
 // topology) rather than wiring peers to each other — at step s it
-// fetches shard (p+s) mod P from its owner and delivers it to node p.
-// Each delivered shard crosses the wire twice (owner→router→node), so
-// the relay ships 2·(P-1)·shard_bytes per node versus (P-1)·shard_bytes
-// for a true peer-to-peer ring; in exchange the protocol needs only the
-// client→node connections that session serving already requires, works
-// unchanged over the loopback arm, and cannot deadlock (every transfer
-// has exactly one blocked party). The fold order on each node is
-// independent of delivery order (deferred in-order folding, see
-// node.hpp), which is what makes the result bit-identical to
-// seqpar/sim_cluster.
+// fetches every shard from its owner and delivers shard (p+s) mod P to
+// node p. Each delivered shard crosses the wire twice
+// (owner→router→node), so the relay ships 2·(P-1)·shard_bytes per node
+// versus (P-1)·shard_bytes for a true peer-to-peer ring; in exchange
+// the protocol needs only the client→node connections that session
+// serving already requires, and works unchanged over the loopback arm.
+// RingStart gives each node only its own rows of the mask (an L×L CSR
+// whose other rows are empty, so row and column ids stay global).
+//
+// Every phase fans out: start, each step's fetches, each step's
+// deliveries and finish send one request to each node before reading
+// any response, so the nodes fold at the same time, all on the calling
+// thread. This cannot deadlock. Each connection has one request in
+// flight and its node is idle until that request arrives, and a node
+// reads its whole request before it replies, so every send completes
+// without waiting for a response. The router then reads the responses
+// in peer order; a node it waits on depends on nothing but that read.
+// If a node fails, the phase still reads every other outstanding
+// response before it rethrows, so the other connections stay usable.
+// The fold order on each node is independent of delivery order
+// (deferred in-order folding, see node.hpp), which is what makes the
+// result bit-identical to seqpar/sim_cluster.
 
 #include <cstdint>
 #include <map>
@@ -119,6 +131,13 @@ class ClusterClient {
 
   Peer& by_session(std::uint64_t session_id);
   Peer& by_id(std::uint64_t node_id);
+
+  /// One ring-prefill phase: sends bodies[p] to peer p for every p, then
+  /// reads every response (see the file comment). If any send or
+  /// receive fails, the rest of the responses are still read, then the
+  /// first failure is rethrown.
+  std::vector<std::vector<std::uint8_t>> fan_out(Op op,
+                                                 std::vector<std::vector<std::uint8_t>> bodies);
 
   HashRing ring_;
   std::vector<Peer> peers_;

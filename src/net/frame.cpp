@@ -1,5 +1,6 @@
 #include "net/frame.hpp"
 
+#include <bit>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -51,25 +52,83 @@ const char* to_string(WireStatus s) {
   return "unknown";
 }
 
-std::uint64_t payload_checksum(const std::uint8_t* data, std::size_t n) {
-  // Same constants as Fnv1a (common/fnv1a.hpp), folded bytewise so the
-  // hash does not depend on how the payload would pack into words.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
+namespace {
+
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ull;
+
+std::uint64_t rotl(std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+/// Bytes [p, p+n) as a little-endian integer, whatever the host order.
+std::uint64_t load_le(const std::uint8_t* p, int n) {
+  std::uint64_t v = 0;
+  for (int b = 0; b < n; ++b) v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+  return v;
+}
+
+std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) {
+  return rotl(acc + word * kP2, 31) * kP1;
+}
+
+std::uint64_t merge_lane(std::uint64_t h, std::uint64_t lane) {
+  return (h ^ lane_round(0, lane)) * kP1 + kP4;
+}
+
+}  // namespace
+
+std::uint64_t frame_checksum(const std::uint8_t* data, std::size_t n) {
+  // XXH64 with seed 0: four lanes each fold one 8-byte word of every
+  // 32-byte stripe, so the multiplies of different lanes overlap; the
+  // tail folds 8, then 4, then 1 byte at a time.
+  const std::uint8_t* p = data;
+  const std::uint8_t* const end = data + n;
+  std::uint64_t h;
+  if (n >= 32) {
+    std::uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = lane_round(v1, load_le(p, 8));
+      v2 = lane_round(v2, load_le(p + 8, 8));
+      v3 = lane_round(v3, load_le(p + 16, 8));
+      v4 = lane_round(v4, load_le(p + 24, 8));
+    }
+    h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+    for (const std::uint64_t v : {v1, v2, v3, v4}) h = merge_lane(h, v);
+  } else {
+    h = kP5;
   }
-  return h;
+  h += n;
+  for (; end - p >= 8; p += 8) h = rotl(h ^ lane_round(0, load_le(p, 8)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    h = rotl(h ^ (load_le(p, 4) * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
 }
 
 namespace {
+
+/// Guards the 12 header bytes before it, so a damaged length prefix is
+/// caught before the reader waits for, or allocates, the bytes it
+/// promises.
+std::uint32_t header_check(const std::uint8_t* header) {
+  return static_cast<std::uint32_t>(frame_checksum(header, kFrameHeaderBytes - 4));
+}
 
 void put_header(std::vector<std::uint8_t>& out, const Frame& f) {
   Writer w;
   w.u32(kFrameMagic);
   w.u16(f.type);
   w.u16(f.flags);
-  w.u64(f.payload.size());
+  w.u32(static_cast<std::uint32_t>(f.payload.size()));
+  w.u32(header_check(w.buf.data()));
   out.insert(out.end(), w.buf.begin(), w.buf.end());
 }
 
@@ -88,10 +147,12 @@ WireStatus parse_header(const std::uint8_t* data, std::size_t n, Header& h) {
   const std::uint32_t magic = r.u32();
   h.type = r.u16();
   h.flags = r.u16();
-  h.len = r.u64();
+  h.len = r.u32();
+  const std::uint32_t check = r.u32();
   if (magic != kFrameMagic) return WireStatus::BadMagic;
   if (h.len == 0) return WireStatus::EmptyPayload;
   if (h.len > kMaxFramePayload) return WireStatus::Oversized;
+  if (check != header_check(data)) return WireStatus::ChecksumMismatch;
   return WireStatus::Ok;
 }
 
@@ -105,7 +166,7 @@ void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
   put_header(out, frame);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   Writer w;
-  w.u64(payload_checksum(frame.payload.data(), frame.payload.size()));
+  w.u64(frame_checksum(frame.payload.data(), frame.payload.size()));
   out.insert(out.end(), w.buf.begin(), w.buf.end());
 }
 
@@ -119,7 +180,7 @@ WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out) {
   const std::uint8_t* payload = data + kFrameHeaderBytes;
   Reader tr(payload + h.len, kFrameTrailerBytes);
   const std::uint64_t stated = tr.u64();
-  if (payload_checksum(payload, static_cast<std::size_t>(h.len)) != stated) {
+  if (frame_checksum(payload, static_cast<std::size_t>(h.len)) != stated) {
     return WireStatus::ChecksumMismatch;
   }
   out.type = h.type;
@@ -154,7 +215,7 @@ WireStatus read_frame(Transport& t, Frame& out) {
   std::uint8_t trailer[kFrameTrailerBytes];
   if (!t.recv_exact(trailer, kFrameTrailerBytes)) return WireStatus::Truncated;
   Reader tr(trailer, kFrameTrailerBytes);
-  if (payload_checksum(out.payload.data(), out.payload.size()) != tr.u64()) {
+  if (frame_checksum(out.payload.data(), out.payload.size()) != tr.u64()) {
     WireMetrics::get().checksum_failures.inc();
     return WireStatus::ChecksumMismatch;
   }
@@ -168,6 +229,10 @@ WireStatus read_frame(Transport& t, Frame& out) {
 // Typed payload codecs.
 
 namespace {
+// put_matrix and put_csr copy arrays in bulk; their bytes are the
+// little-endian wire form only on a little-endian host.
+static_assert(std::endian::native == std::endian::little, "net codecs assume a LE host");
+
 /// Ceiling on decoded vector/matrix element counts: anything a peer
 /// sends arrives inside one frame, so no field can legitimately promise
 /// more elements than the frame cap could carry.
@@ -191,10 +256,9 @@ void put_matrix(Writer& w, const Matrix<float>& m) {
   w.i64(m.rows());
   w.i64(m.cols());
   // Rows are contiguous; ship the buffer, field order is the element
-  // order. f32 bit patterns are endian-normalised like every other
-  // field (memcpy'd to u32, emitted LE) — bulk copy is safe because
-  // the build targets little-endian hosts only; a big-endian port
-  // would swap here.
+  // order. Bulk copy emits the same LE bytes as the per-field writers
+  // because the build targets little-endian hosts only (asserted
+  // above); a big-endian port would swap here.
   w.bytes(m.data(), static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(m.cols()) *
                         sizeof(float));
 }
@@ -220,8 +284,9 @@ void put_csr(Writer& w, const Csr<float>& m) {
   w.i64(m.rows);
   w.i64(m.cols);
   w.u64(m.nnz());
-  for (const Index o : m.row_offsets) w.i64(o);
-  for (const Index c : m.col_idx) w.i64(c);
+  // Bulk copies, on the same little-endian assumption as put_matrix.
+  w.bytes(m.row_offsets.data(), m.row_offsets.size() * sizeof(Index));
+  w.bytes(m.col_idx.data(), m.col_idx.size() * sizeof(Index));
   w.bytes(m.values.data(), m.values.size() * sizeof(float));
 }
 
@@ -236,7 +301,8 @@ bool get_csr(Reader& r, Csr<float>& m) {
   }
   // All three arrays must fit in what remains before any allocation
   // (the bounds above keep `need` from wrapping).
-  const std::uint64_t need = (static_cast<std::uint64_t>(rows) + 1) * 8 + nnz * (8 + 4);
+  const std::uint64_t need = (static_cast<std::uint64_t>(rows) + 1) * sizeof(Index) +
+                             nnz * (sizeof(Index) + sizeof(float));
   if (r.remaining() < need) {
     r.ok = false;
     return false;
@@ -246,9 +312,11 @@ bool get_csr(Reader& r, Csr<float>& m) {
   m.row_offsets.resize(static_cast<std::size_t>(rows) + 1);
   m.col_idx.resize(static_cast<std::size_t>(nnz));
   m.values.resize(static_cast<std::size_t>(nnz));
-  for (Index& o : m.row_offsets) o = static_cast<Index>(r.i64());
-  for (Index& c : m.col_idx) c = static_cast<Index>(r.i64());
-  if (!r.bytes(m.values.data(), m.values.size() * sizeof(float))) return false;
+  if (!r.bytes(m.row_offsets.data(), m.row_offsets.size() * sizeof(Index)) ||
+      !r.bytes(m.col_idx.data(), m.col_idx.size() * sizeof(Index)) ||
+      !r.bytes(m.values.data(), m.values.size() * sizeof(float))) {
+    return false;
+  }
   // Structural sanity — a peer's CSR must be canonical before any
   // kernel walks it (kernels index unchecked in release builds).
   return m.is_canonical();

@@ -1,15 +1,16 @@
 #pragma once
 // Wire layer: length-prefixed binary framing with explicit little-endian
-// field encoding and an fnv1a payload checksum.
+// field encoding and an XXH64 checksum over the header and the payload.
 //
 // Frame layout on the wire:
 //
-//   [magic   u32]  0x47504146 ("GPAF")
+//   [magic   u32]  0x47504132 ("GPA2")
 //   [type    u16]  frame type (rpc.hpp assigns request/response)
 //   [flags   u16]  reserved, must round-trip
-//   [len     u64]  payload byte count, 1 .. kMaxFramePayload
+//   [len     u32]  payload byte count, 1 .. kMaxFramePayload
+//   [hcheck  u32]  low half of XXH64 over the 12 bytes above
 //   [payload len bytes]
-//   [checksum u64] fnv1a over the payload bytes
+//   [checksum u64] XXH64 over the payload bytes
 //
 // Every multi-byte field is little-endian *by construction* (bytes are
 // shifted in/out explicitly), so the format is identical across hosts
@@ -17,7 +18,9 @@
 // decode error, not a valid frame: every RPC body starts with at least
 // one byte (the op / status octet), so an empty payload can only be a
 // peer bug or corruption, and rejecting it up front means no handler
-// ever sees an empty body.
+// ever sees an empty body. The header check catches a damaged length
+// before the reader waits for the bytes it promises, so a flipped bit
+// anywhere in a frame is a typed error, never a stalled read.
 //
 // Decoding never throws and never reads past the given buffer: every
 // malformed input maps to a WireStatus. The Reader primitive underruns
@@ -47,20 +50,23 @@ enum class WireStatus : std::uint8_t {
   BadMagic,          ///< first 4 bytes are not the frame magic
   Oversized,         ///< length prefix exceeds kMaxFramePayload
   EmptyPayload,      ///< length prefix is zero (no valid frame is empty)
-  ChecksumMismatch,  ///< payload bytes do not hash to the trailer
+  ChecksumMismatch,  ///< header or payload bytes do not hash to their check
   Malformed,         ///< structurally wrong (trailing junk, bad body)
   Closed,            ///< transport EOF / error mid-frame
 };
 
 const char* to_string(WireStatus s);
 
-inline constexpr std::uint32_t kFrameMagic = 0x47504146u;  // "GPAF" LE
+/// "GPA2". Frames and mask files written with the byte-wise FNV-1a
+/// checksum of the first format ("GPAF", 0x47504146) fail as BadMagic.
+inline constexpr std::uint32_t kFrameMagic = 0x47504132u;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Cap on a single frame's payload. Large enough for any realistic
 /// shard (a 64k x 256 f32 matrix is 64 MiB); small enough that a
 /// corrupt length prefix cannot drive a multi-gigabyte allocation.
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
+static_assert(kMaxFramePayload <= 0xffffffffull, "the length field is a u32");
 
 struct Frame {
   std::uint16_t type = 0;
@@ -68,9 +74,10 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// fnv1a over a byte range (same constants as common/fnv1a.hpp, applied
-/// bytewise so the hash is independent of word framing).
-std::uint64_t payload_checksum(const std::uint8_t* data, std::size_t n);
+/// XXH64 (seed 0) of a byte range, read as 8-byte little-endian words
+/// in four independent lanes. A frame's trailer is this over the
+/// payload; its header check is the low 32 bits of this over the header.
+std::uint64_t frame_checksum(const std::uint8_t* data, std::size_t n);
 
 /// Serialize a frame (header + payload + checksum trailer) into `out`
 /// (overwritten). The payload must be non-empty and within the cap;

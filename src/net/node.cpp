@@ -272,9 +272,13 @@ void NodeService::handle(const RpcRequest& req, RpcResponse& rsp) {
 // ---------------------------------------------------------------------
 // Ring prefill
 
+NodeService::Ring* NodeService::find_ring(std::uint64_t rid) {
+  return ring_ && ring_->id == rid ? &*ring_ : nullptr;
+}
+
 RpcStatus NodeService::ring_start(Reader& r) {
   Ring g;
-  const std::uint64_t rid = r.u64();
+  g.id = r.u64();
   g.parts = static_cast<Index>(r.u32());
   g.part = static_cast<Index>(r.u32());
   if (!get_partition(r, g.partition) || !get_csr(r, g.mask)) return RpcStatus::Malformed;
@@ -306,9 +310,8 @@ RpcStatus NodeService::ring_start(Reader& r) {
   g.v_own = vs;
 
   std::lock_guard<std::mutex> lk(ring_mu_);
-  auto [it, inserted] = rings_.insert_or_assign(rid, std::move(g));
-  (void)inserted;
-  stash_and_fold(it->second, it->second.part, std::move(ks), std::move(vs));
+  ring_ = std::move(g);
+  stash_and_fold(*ring_, ring_->part, std::move(ks), std::move(vs));
   return RpcStatus::Ok;
 }
 
@@ -316,11 +319,11 @@ RpcStatus NodeService::ring_fetch(Reader& r, Writer& out) {
   const std::uint64_t rid = r.u64();
   if (!r.ok || !r.done()) return RpcStatus::Malformed;
   std::lock_guard<std::mutex> lk(ring_mu_);
-  const auto it = rings_.find(rid);
-  if (it == rings_.end()) return RpcStatus::InvalidArgument;
-  out.u32(static_cast<std::uint32_t>(it->second.part));
-  put_matrix(out, it->second.k_own);
-  put_matrix(out, it->second.v_own);
+  const Ring* g = find_ring(rid);
+  if (g == nullptr) return RpcStatus::InvalidArgument;
+  out.u32(static_cast<std::uint32_t>(g->part));
+  put_matrix(out, g->k_own);
+  put_matrix(out, g->v_own);
   return RpcStatus::Ok;
 }
 
@@ -332,9 +335,9 @@ RpcStatus NodeService::ring_shard(Reader& r) {
     return RpcStatus::Malformed;
   }
   std::lock_guard<std::mutex> lk(ring_mu_);
-  const auto it = rings_.find(rid);
-  if (it == rings_.end()) return RpcStatus::InvalidArgument;
-  Ring& g = it->second;
+  Ring* ring = find_ring(rid);
+  if (ring == nullptr) return RpcStatus::InvalidArgument;
+  Ring& g = *ring;
   if (idx < 0 || idx >= g.parts ||
       ks.rows() != g.partition.boundaries[static_cast<std::size_t>(idx) + 1] -
                        g.partition.boundaries[static_cast<std::size_t>(idx)] ||
@@ -349,16 +352,16 @@ RpcStatus NodeService::ring_finish(Reader& r, Writer& out) {
   const std::uint64_t rid = r.u64();
   if (!r.ok || !r.done()) return RpcStatus::Malformed;
   std::lock_guard<std::mutex> lk(ring_mu_);
-  const auto it = rings_.find(rid);
-  if (it == rings_.end()) return RpcStatus::InvalidArgument;
-  Ring& g = it->second;
+  Ring* ring = find_ring(rid);
+  if (ring == nullptr) return RpcStatus::InvalidArgument;
+  Ring& g = *ring;
   // Finishing before every shard folded would return partial sums.
   if (g.next_fold != g.parts) return RpcStatus::InvalidArgument;
   Matrix<float> o(g.row_hi - g.row_lo, g.head_dim);
   g.state.finalize_into(o);
   put_matrix(out, o);
   out.u64(g.edges);
-  rings_.erase(it);
+  ring_.reset();
   return RpcStatus::Ok;
 }
 

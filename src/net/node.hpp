@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "core/state.hpp"
@@ -89,8 +90,9 @@ class NodeService {
   const kvcache::SessionManager& sessions() const noexcept { return sessions_; }
 
  private:
-  /// In-flight ring-prefill state, keyed by the router's ring id.
+  /// In-flight ring-prefill state.
   struct Ring {
+    std::uint64_t id = 0;  ///< the router's ring id
     Index parts = 0;
     Index part = 0;  ///< this node's index p
     Index seq_len = 0;
@@ -109,6 +111,9 @@ class NodeService {
     Size edges = 0;
   };
 
+  /// The live ring with id `rid`, or null. Caller holds ring_mu_.
+  Ring* find_ring(std::uint64_t rid);
+
   RpcStatus ring_start(Reader& r);
   RpcStatus ring_fetch(Reader& r, Writer& out);
   RpcStatus ring_shard(Reader& r);
@@ -121,7 +126,12 @@ class NodeService {
 
   kvcache::SessionManager sessions_;
   std::mutex ring_mu_;
-  std::map<std::uint64_t, Ring> rings_;
+  /// At most one live ring. gpa_serve serves one connection at a time
+  /// and ClusterClient::ring_prefill is synchronous, so a RingStart
+  /// replaces whatever ring a failed prefill abandoned: a node holds at
+  /// most one prefill's Q rows, K/V shards and mask, however many
+  /// prefills it has seen.
+  std::optional<Ring> ring_;
 };
 
 }  // namespace gpa::net

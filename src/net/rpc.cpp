@@ -120,35 +120,42 @@ void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& 
   rsp.body = std::move(w.buf);
 }
 
-std::vector<std::uint8_t> RpcClient::call(Op op, std::vector<std::uint8_t> body) {
-  // Span name = the op's static string, so a trace shows which RPCs a
-  // client spent its wall-clock in; the latency histogram is the
-  // aggregate view of the same interval.
-  obs::trace::Span span(to_string(op), "net.rpc");
-  RpcMetrics& rm = RpcMetrics::get();
-  rm.calls.inc();
-  const auto t0 = std::chrono::steady_clock::now();
+void RpcClient::fail(const std::string& what) {
+  RpcMetrics::get().transport_failures.inc();
+  pending_ = 0;
+  t_.close();
+  throw TransportError("rpc: " + what);
+}
 
+std::uint64_t RpcClient::send(Op op, std::vector<std::uint8_t> body) {
+  GPA_CHECK(pending_ == 0, "rpc: a request is already in flight on this connection");
+  RpcMetrics::get().calls.inc();
   RpcRequest req;
   req.id = next_id_++;
   req.op = op;
   req.body = std::move(body);
+  sent_at_ = std::chrono::steady_clock::now();
   if (send_request(t_, req) != WireStatus::Ok) {
-    rm.transport_failures.inc();
-    throw TransportError("rpc: send failed (" + std::string(to_string(op)) + ")");
+    fail("send failed (" + std::string(to_string(op)) + ")");
   }
+  pending_ = req.id;
+  pending_op_ = op;
+  return req.id;
+}
+
+std::vector<std::uint8_t> RpcClient::receive(std::uint64_t id) {
+  GPA_CHECK(id != 0 && id == pending_, "rpc: no request in flight with this id");
+  RpcMetrics& rm = RpcMetrics::get();
   RpcResponse rsp;
   const WireStatus ws = recv_response(t_, rsp);
   if (ws != WireStatus::Ok) {
-    rm.transport_failures.inc();
-    throw TransportError("rpc: receive failed (" + std::string(to_string(ws)) + ")");
+    fail("receive failed (" + std::string(to_string(pending_op_)) + ": " + to_string(ws) +
+         ")");
   }
-  if (rsp.id != req.id) {
-    rm.transport_failures.inc();
-    throw TransportError("rpc: response id mismatch — connection desynchronised");
-  }
+  if (rsp.id != id) fail("response id mismatch — connection desynchronised");
+  pending_ = 0;
   rm.latency_us.observe(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - sent_at_)
           .count());
   if (rsp.status == RpcStatus::Ok) return std::move(rsp.body);
   rm.errors.inc();
@@ -166,6 +173,14 @@ std::vector<std::uint8_t> RpcClient::call(Op op, std::vector<std::uint8_t> body)
       throw InvalidArgument(detail.empty() ? std::string(to_string(rsp.status)) : detail);
     default: throw RpcError(rsp.status, detail.empty() ? to_string(rsp.status) : detail);
   }
+}
+
+std::vector<std::uint8_t> RpcClient::call(Op op, std::vector<std::uint8_t> body) {
+  // Span name = the op's static string, so a trace shows which RPCs a
+  // client spent its wall-clock in; the latency histogram is the
+  // aggregate view of the same interval.
+  obs::trace::Span span(to_string(op), "net.rpc");
+  return receive(send(op, std::move(body)));
 }
 
 }  // namespace gpa::net

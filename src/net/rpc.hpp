@@ -12,6 +12,7 @@
 // local API would have thrown — the serving layer's catch sites work
 // unchanged whether the session lives in-process or across a socket.
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -77,20 +78,42 @@ void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& 
                          std::uint64_t session_id);
 
 /// Client half of one connection: matches response ids to request ids.
-/// call() throws TransportError if the peer vanished mid-call, and
+/// A connection carries at most one request in flight. call() is send()
+/// then receive(); a caller that talks to several peers at once sends
+/// to each before it receives from any, so the peers work concurrently
+/// on the calling thread.
+///
+/// Both halves throw TransportError if the peer vanished or sent
+/// unframeable bytes, and close the transport first: its stream
+/// position is lost, so nothing later may read from it. receive()
 /// rethrows error statuses as the library's own typed exceptions
 /// (kvcache::SessionNotFound / SessionEvicted / CacheFull,
 /// InvalidArgument, RpcError for the rest); on Ok it returns the
-/// response body.
+/// response body. Either way the request is no longer in flight.
+///
+/// net.rpc.calls counts sends; net.rpc.latency_us runs from send to
+/// receive. call() opens a `net.rpc` span named by its op; send() and
+/// receive() open none, so a fan-out can bracket its whole phase in one
+/// span and spans stay nested on the calling thread.
 class RpcClient {
  public:
   explicit RpcClient(Transport& t) : t_(t) {}
 
+  /// Sends one request and returns its id. InvalidArgument if another
+  /// request is still in flight.
+  std::uint64_t send(Op op, std::vector<std::uint8_t> body);
+  /// Reads the response to `id`, which must be the request in flight.
+  std::vector<std::uint8_t> receive(std::uint64_t id);
   std::vector<std::uint8_t> call(Op op, std::vector<std::uint8_t> body);
 
  private:
+  [[noreturn]] void fail(const std::string& what);
+
   Transport& t_;
   std::uint64_t next_id_ = 1;
+  std::uint64_t pending_ = 0;  ///< id in flight; 0 when idle
+  Op pending_op_ = Op::Ping;
+  std::chrono::steady_clock::time_point sent_at_{};
 };
 
 /// The connection died or the peer sent unframeable bytes.

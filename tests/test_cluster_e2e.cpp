@@ -1,7 +1,7 @@
 // End-to-end cluster differential gate (tier2): forks REAL gpa_serve
-// processes on localhost and checks that the 2-process cluster's
-// prefill and decode outputs are bit-identical to the in-process
-// oracles — seqpar/sim_cluster for ring prefill, a local
+// processes on localhost and checks that the 2- and 3-process clusters'
+// prefill and the 2-process cluster's decode outputs are bit-identical
+// to the in-process oracles — seqpar/sim_cluster for ring prefill, a local
 // SessionManager for routed decode. This is the non-negotiable gate:
 // if it holds, the wire path (frame codec, RPC, rotation protocol,
 // deferred in-order folding) introduced zero numerical drift.
@@ -101,32 +101,36 @@ struct ProcessCluster {
   }
 };
 
-TEST(ClusterE2E, TwoProcessRingPrefillBitIdenticalToSimCluster) {
+TEST(ClusterE2E, MultiProcessRingPrefillBitIdenticalToSimCluster) {
   const Index L = 128, d = 24;
   const auto mask = build_csr_random(L, RandomParams{0.12, 4242});
-  const auto part = seqpar::partition_balanced_nnz(L, 2, seqpar::degrees_of(mask));
   Rng rng(17);
   Matrix<float> q(L, d), k(L, d), v(L, d);
   fill_uniform(q, rng);
   fill_uniform(k, rng);
   fill_uniform(v, rng);
 
-  ProcessCluster cluster(2, /*pages=*/64, /*page_size=*/16, d);
-  ASSERT_EQ(cluster.client.peers(), 2u);
+  // P=3 rotates over two steps, so fetches and deliveries fan out to
+  // nodes that hold more than one foreign shard.
+  for (const Index P : {2, 3}) {
+    const auto part = seqpar::partition_balanced_nnz(L, P, seqpar::degrees_of(mask));
+    ProcessCluster cluster(P, /*pages=*/64, /*page_size=*/16, d);
+    ASSERT_EQ(cluster.client.peers(), static_cast<Size>(P));
 
-  for (const bool causal : {false, true}) {
-    Matrix<float> wire_out;
-    const auto rep =
-        cluster.client.ring_prefill(q, k, v, mask, part, causal, -1.0f, wire_out);
-    Matrix<float> oracle(L, d);
-    AttentionOptions opts;
-    opts.causal = causal;
-    const auto sim = seqpar::distributed_csr_attention(q, k, v, mask, part, oracle, opts);
-    ASSERT_EQ(std::memcmp(wire_out.data(), oracle.data(), oracle.size_bytes()), 0)
-        << "causal=" << causal;
-    ASSERT_EQ(rep.nodes.size(), sim.nodes.size());
-    for (std::size_t p = 0; p < sim.nodes.size(); ++p) {
-      EXPECT_EQ(rep.nodes[p].edges, sim.nodes[p].edges) << "node " << p;
+    for (const bool causal : {false, true}) {
+      Matrix<float> wire_out;
+      const auto rep =
+          cluster.client.ring_prefill(q, k, v, mask, part, causal, -1.0f, wire_out);
+      Matrix<float> oracle(L, d);
+      AttentionOptions opts;
+      opts.causal = causal;
+      const auto sim = seqpar::distributed_csr_attention(q, k, v, mask, part, oracle, opts);
+      ASSERT_EQ(std::memcmp(wire_out.data(), oracle.data(), oracle.size_bytes()), 0)
+          << "P=" << P << " causal=" << causal;
+      ASSERT_EQ(rep.nodes.size(), sim.nodes.size());
+      for (std::size_t p = 0; p < sim.nodes.size(); ++p) {
+        EXPECT_EQ(rep.nodes[p].edges, sim.nodes[p].edges) << "P=" << P << " node " << p;
+      }
     }
   }
 }

@@ -135,6 +135,22 @@ TEST_F(IoFixture, RejectsGarbageFile) {
   out << "this is not a mask";
   out.close();
   EXPECT_THROW(net::load_mask(path_), InvalidArgument);
+
+  // A mask file of the first format: magic "GPAF", a u64 length and a
+  // byte-wise FNV-1a trailer around the same put_csr payload.
+  net::Writer payload;
+  net::put_csr(payload, build_csr_local(32, LocalParams{3}));
+  net::Writer w;
+  w.u32(0x47504146u);
+  w.u16(net::kFrameMaskFile);
+  w.u16(0);
+  w.u64(payload.buf.size());
+  w.bytes(payload.buf.data(), payload.buf.size());
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : payload.buf) fnv = (fnv ^ b) * 0x100000001b3ull;
+  w.u64(fnv);
+  write_file(w.buf);
+  EXPECT_THROW(net::load_mask(path_), InvalidArgument);
 }
 
 TEST_F(IoFixture, RejectsTruncatedFile) {
