@@ -1,7 +1,6 @@
 #include "net/cluster.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <exception>
 
 #include "common/error.hpp"
@@ -88,7 +87,7 @@ void ClusterClient::create_session(std::uint64_t session_id, const WireMask& mas
   Writer w;
   w.u64(session_id);
   put_mask(w, mask);
-  by_session(session_id).rpc->call(Op::CreateSession, std::move(w.buf));
+  by_session(session_id).rpc->call(Op::CreateSession, w.buf);
 }
 
 void ClusterClient::prefill(std::uint64_t session_id, const Matrix<float>& q,
@@ -99,7 +98,7 @@ void ClusterClient::prefill(std::uint64_t session_id, const Matrix<float>& q,
   put_matrix(w, q);
   put_matrix(w, k);
   put_matrix(w, v);
-  const auto body = by_session(session_id).rpc->call(Op::Prefill, std::move(w.buf));
+  const auto body = by_session(session_id).rpc->call(Op::Prefill, w.buf);
   Reader r(body);
   GPA_CHECK(get_matrix(r, out) && r.done(), "cluster: bad prefill response");
 }
@@ -114,7 +113,7 @@ Index ClusterClient::decode_step(std::uint64_t session_id, const float* q, const
   w.bytes(q, row_bytes);
   w.bytes(k, row_bytes);
   w.bytes(v, row_bytes);
-  const auto body = by_session(session_id).rpc->call(Op::DecodeStep, std::move(w.buf));
+  const auto body = by_session(session_id).rpc->call(Op::DecodeStep, w.buf);
   Reader r(body);
   const Index d = static_cast<Index>(r.u32());
   GPA_CHECK(r.ok && d == head_dim, "cluster: decode response dimension mismatch");
@@ -127,13 +126,13 @@ Index ClusterClient::decode_step(std::uint64_t session_id, const float* q, const
 void ClusterClient::release_session(std::uint64_t session_id) {
   Writer w;
   w.u64(session_id);
-  by_session(session_id).rpc->call(Op::ReleaseSession, std::move(w.buf));
+  by_session(session_id).rpc->call(Op::ReleaseSession, w.buf);
 }
 
 PingInfo ClusterClient::ping(std::uint64_t node_id) {
   Writer w;
   w.u8(1);
-  const auto body = by_id(node_id).rpc->call(Op::Ping, std::move(w.buf));
+  const auto body = by_id(node_id).rpc->call(Op::Ping, w.buf);
   Reader r(body);
   PingInfo info;
   info.sessions = r.u64();
@@ -146,45 +145,24 @@ PingInfo ClusterClient::ping(std::uint64_t node_id) {
 obs::MetricsSnapshot ClusterClient::node_stats(std::uint64_t node_id) {
   Writer w;
   w.u8(1);
-  const auto body = by_id(node_id).rpc->call(Op::Stats, std::move(w.buf));
+  const auto body = by_id(node_id).rpc->call(Op::Stats, w.buf);
   Reader r(body);
   obs::MetricsSnapshot snap;
   GPA_CHECK(get_metrics_snapshot(r, snap) && r.done(), "cluster: bad stats response");
   return snap;
 }
 
-namespace {
-/// Rows [lo, hi) of `mask` as a mask of the same shape whose other rows
-/// are empty: a node ships only the rows it folds, and keeps global row
-/// and column ids.
-Csr<float> own_rows(const Csr<float>& mask, Index lo, Index hi) {
-  Csr<float> s;
-  s.rows = mask.rows;
-  s.cols = mask.cols;
-  const Index base = mask.row_begin(lo);
-  const Index top = mask.row_begin(hi);
-  s.row_offsets.assign(mask.row_offsets.size(), top - base);
-  for (Index i = 0; i <= hi; ++i) {
-    s.row_offsets[static_cast<std::size_t>(i)] = i < lo ? 0 : mask.row_begin(i) - base;
-  }
-  s.col_idx.assign(mask.col_idx.begin() + base, mask.col_idx.begin() + top);
-  s.values.assign(mask.values.begin() + base, mask.values.begin() + top);
-  return s;
-}
-}  // namespace
-
-std::vector<std::vector<std::uint8_t>> ClusterClient::fan_out(
-    Op op, std::vector<std::vector<std::uint8_t>> bodies) {
+std::vector<std::span<const std::uint8_t>> ClusterClient::fan_out(Op op) {
   // One span per phase: the sends and receives of P peers interleave,
   // so per-call spans would overlap as siblings.
   obs::trace::Span span(to_string(op), "net.rpc");
-  const std::size_t n = bodies.size();
+  const std::size_t n = peers_.size();
   std::vector<std::uint64_t> ids(n, 0);
-  std::vector<std::vector<std::uint8_t>> out(n);
+  std::vector<std::span<const std::uint8_t>> out(n);
   std::exception_ptr first;
   for (std::size_t p = 0; p < n && !first; ++p) {
     try {
-      ids[p] = peers_[p].rpc->send(op, std::move(bodies[p]));
+      ids[p] = peers_[p].rpc->send(op);
     } catch (...) {
       first = std::current_exception();
     }
@@ -210,7 +188,6 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
   const Index L = q.rows();
   const Index d = q.cols();
   const Index P = static_cast<Index>(peers_.size());
-  const std::size_t np = peers_.size();
   GPA_CHECK(P > 0, "cluster: no peers");
   GPA_CHECK(partition.parts() == P, "cluster: partition parts must equal peer count");
   GPA_CHECK(!partition.boundaries.empty() && partition.boundaries.front() == 0 &&
@@ -219,49 +196,31 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
   GPA_CHECK(mask.rows == L && mask.cols == L, "cluster: mask shape mismatch");
   GPA_CHECK(k.rows() == L && v.rows() == L && k.cols() == d && v.cols() == d,
             "cluster: K/V shape mismatch");
-  out = Matrix<float>(L, d);
+  if (out.rows() != L || out.cols() != d) out = Matrix<float>(L, d);
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t rid = next_ring_id_++;
   ClusterRingReport report;
+  auto body = [&](Index p) -> Writer& { return peers_[static_cast<std::size_t>(p)].rpc->body(); };
 
-  auto slice = [&](const Matrix<float>& src, Index lo, Index hi) {
-    Matrix<float> s(hi - lo, d);
-    if (hi > lo) {
-      std::memcpy(s.data(), src.row(lo), static_cast<std::size_t>(hi - lo) *
-                                             static_cast<std::size_t>(d) * sizeof(float));
-    }
-    return s;
-  };
-  auto rid_only = [&] {
-    std::vector<std::vector<std::uint8_t>> bodies(np);
-    for (auto& b : bodies) {
-      Writer w;
-      w.u64(rid);
-      b = std::move(w.buf);
-    }
-    return bodies;
-  };
-
-  // Step 0: every node gets its Q rows and the K/V shard it owns.
-  std::vector<std::vector<std::uint8_t>> starts(np);
+  // Step 0: every node gets its mask rows, its Q rows and the K/V shard
+  // it owns, written straight from the caller's arrays.
   for (Index p = 0; p < P; ++p) {
     const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
     const Index hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
-    Writer w;
+    Writer& w = body(p);
     w.u64(rid);
     w.u32(static_cast<std::uint32_t>(P));
     w.u32(static_cast<std::uint32_t>(p));
     put_partition(w, partition);
-    put_csr(w, own_rows(mask, lo, hi));
+    put_csr_rows(w, mask, lo, hi);
     w.u8(causal ? 1 : 0);
     w.f32(scale);
-    put_matrix(w, slice(q, lo, hi));
-    put_matrix(w, slice(k, lo, hi));
-    put_matrix(w, slice(v, lo, hi));
-    starts[static_cast<std::size_t>(p)] = std::move(w.buf);
+    put_matrix_rows(w, q, lo, hi);
+    put_matrix_rows(w, k, lo, hi);
+    put_matrix_rows(w, v, lo, hi);
   }
-  fan_out(Op::RingStart, std::move(starts));
+  fan_out(Op::RingStart);
 
   // Steps 1..P-1: rotate. Node p needs shard (p+s) mod P at step s; the
   // router fetches every shard from its owner, then relays each to its
@@ -269,42 +228,38 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
   // order is irrelevant: nodes fold deferred-in-order regardless of
   // arrival order.
   for (Index s = 1; s < P; ++s) {
-    const auto fetched = fan_out(Op::RingFetch, rid_only());
+    for (Index p = 0; p < P; ++p) body(p).u64(rid);
+    const auto fetched = fan_out(Op::RingFetch);
     std::vector<Reader> shards;
     for (Index owner = 0; owner < P; ++owner) {
       Reader& fr = shards.emplace_back(fetched[static_cast<std::size_t>(owner)]);
       const Index idx = static_cast<Index>(fr.u32());
       GPA_CHECK(fr.ok && idx == owner, "cluster: ring fetch returned wrong shard");
     }
-    std::vector<std::vector<std::uint8_t>> deliveries(np);
+    // Each fetched shard is copied once, from its owner's receive frame
+    // into its consumer's request.
     for (Index p = 0; p < P; ++p) {
       const Index shard = (p + s) % P;
       const Reader& fr = shards[static_cast<std::size_t>(shard)];
-      Writer w;
+      Writer& w = body(p);
       w.u64(rid);
       w.u32(static_cast<std::uint32_t>(shard));
       w.bytes(fr.p, fr.remaining());  // shard K/V matrices, verbatim
-      deliveries[static_cast<std::size_t>(p)] = std::move(w.buf);
     }
-    fan_out(Op::RingShard, std::move(deliveries));
+    fan_out(Op::RingShard);
     report.shard_deliveries += static_cast<Size>(P);
   }
 
-  // Collect each node's finalized rows.
-  const auto finished = fan_out(Op::RingFinish, rid_only());
+  // Collect each node's finalized rows, read straight into `out`.
+  for (Index p = 0; p < P; ++p) body(p).u64(rid);
+  const auto finished = fan_out(Op::RingFinish);
   for (Index p = 0; p < P; ++p) {
     const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
     const Index hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
     Reader r(finished[static_cast<std::size_t>(p)]);
-    Matrix<float> rows;
-    GPA_CHECK(get_matrix(r, rows), "cluster: bad ring finish response");
+    GPA_CHECK(get_matrix_rows(r, out, lo, hi), "cluster: bad ring finish response");
     const Size edges = r.u64();
-    GPA_CHECK(r.done() && rows.rows() == hi - lo && rows.cols() == d,
-              "cluster: ring finish shape mismatch");
-    if (hi > lo) {
-      std::memcpy(out.row(lo), rows.data(), static_cast<std::size_t>(hi - lo) *
-                                                static_cast<std::size_t>(d) * sizeof(float));
-    }
+    GPA_CHECK(r.done(), "cluster: bad ring finish response");
     ClusterNodeReport nr;
     nr.node_id = peers_[static_cast<std::size_t>(p)].id;
     nr.row_begin = lo;
@@ -322,7 +277,7 @@ void ClusterClient::shutdown_all() {
     Writer w;
     w.u8(1);
     try {
-      p.rpc->call(Op::Shutdown, std::move(w.buf));
+      p.rpc->call(Op::Shutdown, w.buf);
     } catch (const TransportError&) {
       // Peer already gone — shutdown is best-effort by design.
     }

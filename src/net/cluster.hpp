@@ -19,6 +19,16 @@
 // RingStart gives each node only its own rows of the mask (an L×L CSR
 // whose other rows are empty, so row and column ids stay global).
 //
+// The router keeps its buffers from one prefill to the next: each
+// peer's RpcClient holds one request buffer and one receive frame for
+// the life of the connection (see rpc.hpp). Requests are written
+// straight from the caller's mask and Q/K/V rows into the request
+// buffer; a fetched shard is copied once, from its owner's receive
+// frame into its consumer's request; finished rows are read straight
+// into `out`. So a prefill allocates nothing large once the first one
+// has sized the buffers, and its latency does not depend on whether the
+// allocator hands freed pages back to the kernel.
+//
 // Every phase fans out: start, each step's fetches, each step's
 // deliveries and finish send one request to each node before reading
 // any response, so the nodes fold at the same time, all on the calling
@@ -37,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "net/node.hpp"
@@ -113,7 +124,8 @@ class ClusterClient {
 
   /// Wire-rotated ring-attention prefill across ALL peers (peer i is
   /// part i; partition.parts() must equal peers()). Bit-identical to
-  /// seqpar::distributed_csr_attention on the same partition.
+  /// seqpar::distributed_csr_attention on the same partition. `out` is
+  /// reused when it is already L×d, and reallocated otherwise.
   ClusterRingReport ring_prefill(const Matrix<float>& q, const Matrix<float>& k,
                                  const Matrix<float>& v, const Csr<float>& mask,
                                  const seqpar::Partition& partition, bool causal, float scale,
@@ -132,12 +144,12 @@ class ClusterClient {
   Peer& by_session(std::uint64_t session_id);
   Peer& by_id(std::uint64_t node_id);
 
-  /// One ring-prefill phase: sends bodies[p] to peer p for every p, then
-  /// reads every response (see the file comment). If any send or
-  /// receive fails, the rest of the responses are still read, then the
-  /// first failure is rethrown.
-  std::vector<std::vector<std::uint8_t>> fan_out(Op op,
-                                                 std::vector<std::vector<std::uint8_t>> bodies);
+  /// One ring-prefill phase: sends each peer's written body() as `op`,
+  /// then reads every response (see the file comment). The views are
+  /// each peer's receive frame, valid until that peer's next receive. If
+  /// any send or receive fails, the rest of the responses are still
+  /// read, then the first failure is rethrown.
+  std::vector<std::span<const std::uint8_t>> fan_out(Op op);
 
   HashRing ring_;
   std::vector<Peer> peers_;

@@ -1,5 +1,6 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <fstream>
 
@@ -69,6 +70,11 @@ std::uint64_t load_le(const std::uint8_t* p, int n) {
   return v;
 }
 
+/// The low n bytes of v into [p, p+n), little-endian.
+void store_le(std::uint8_t* p, std::uint64_t v, int n) {
+  for (int b = 0; b < n; ++b) p[b] = static_cast<std::uint8_t>(v >> (8 * b));
+}
+
 std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) {
   return rotl(acc + word * kP2, 31) * kP1;
 }
@@ -122,16 +128,6 @@ std::uint32_t header_check(const std::uint8_t* header) {
   return static_cast<std::uint32_t>(frame_checksum(header, kFrameHeaderBytes - 4));
 }
 
-void put_header(std::vector<std::uint8_t>& out, const Frame& f) {
-  Writer w;
-  w.u32(kFrameMagic);
-  w.u16(f.type);
-  w.u16(f.flags);
-  w.u32(static_cast<std::uint32_t>(f.payload.size()));
-  w.u32(header_check(w.buf.data()));
-  out.insert(out.end(), w.buf.begin(), w.buf.end());
-}
-
 struct Header {
   std::uint16_t type = 0;
   std::uint16_t flags = 0;
@@ -158,16 +154,27 @@ WireStatus parse_header(const std::uint8_t* data, std::size_t n, Header& h) {
 
 }  // namespace
 
+void frame_in_place(std::vector<std::uint8_t>& wire, std::uint16_t type, std::uint16_t flags) {
+  GPA_CHECK(wire.size() > kFrameHeaderBytes, "net: cannot encode an empty frame payload");
+  const std::size_t len = wire.size() - kFrameHeaderBytes;
+  GPA_CHECK(len <= kMaxFramePayload, "net: frame payload exceeds cap");
+  std::uint8_t* h = wire.data();
+  store_le(h, kFrameMagic, 4);
+  store_le(h + 4, type, 2);
+  store_le(h + 6, flags, 2);
+  store_le(h + 8, len, 4);
+  store_le(h + 12, header_check(h), 4);
+  const std::uint64_t sum = frame_checksum(h + kFrameHeaderBytes, len);
+  wire.resize(wire.size() + kFrameTrailerBytes);
+  store_le(wire.data() + kFrameHeaderBytes + len, sum, 8);
+}
+
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
-  GPA_CHECK(!frame.payload.empty(), "net: cannot encode an empty frame payload");
-  GPA_CHECK(frame.payload.size() <= kMaxFramePayload, "net: frame payload exceeds cap");
   out.clear();
   out.reserve(kFrameHeaderBytes + frame.payload.size() + kFrameTrailerBytes);
-  put_header(out, frame);
+  out.resize(kFrameHeaderBytes);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  Writer w;
-  w.u64(frame_checksum(frame.payload.data(), frame.payload.size()));
-  out.insert(out.end(), w.buf.begin(), w.buf.end());
+  frame_in_place(out, frame.type, frame.flags);
 }
 
 WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out) {
@@ -192,6 +199,10 @@ WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out) {
 WireStatus write_frame(Transport& t, const Frame& frame) {
   std::vector<std::uint8_t> wire;
   encode_frame(frame, wire);
+  return send_framed(t, wire);
+}
+
+WireStatus send_framed(Transport& t, const std::vector<std::uint8_t>& wire) {
   if (!t.send_all(wire.data(), wire.size())) return WireStatus::Closed;
   WireMetrics& wm = WireMetrics::get();
   wm.frames_sent.inc();
@@ -252,15 +263,19 @@ bool get_string(Reader& r, std::string& s) {
   return true;
 }
 
-void put_matrix(Writer& w, const Matrix<float>& m) {
-  w.i64(m.rows());
+void put_matrix(Writer& w, const Matrix<float>& m) { put_matrix_rows(w, m, 0, m.rows()); }
+
+void put_matrix_rows(Writer& w, const Matrix<float>& m, Index lo, Index hi) {
+  GPA_CHECK(0 <= lo && lo <= hi && hi <= m.rows(), "net: row range outside the matrix");
+  w.i64(hi - lo);
   w.i64(m.cols());
   // Rows are contiguous; ship the buffer, field order is the element
   // order. Bulk copy emits the same LE bytes as the per-field writers
   // because the build targets little-endian hosts only (asserted
   // above); a big-endian port would swap here.
-  w.bytes(m.data(), static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(m.cols()) *
-                        sizeof(float));
+  w.bytes(m.data() + static_cast<std::size_t>(lo) * static_cast<std::size_t>(m.cols()),
+          static_cast<std::size_t>(hi - lo) * static_cast<std::size_t>(m.cols()) *
+              sizeof(float));
 }
 
 bool get_matrix(Reader& r, Matrix<float>& m) {
@@ -280,14 +295,42 @@ bool get_matrix(Reader& r, Matrix<float>& m) {
   return r.bytes(m.data(), static_cast<std::size_t>(elems) * sizeof(float));
 }
 
-void put_csr(Writer& w, const Csr<float>& m) {
+bool get_matrix_rows(Reader& r, Matrix<float>& m, Index lo, Index hi) {
+  const std::int64_t rows = r.i64();
+  const std::int64_t cols = r.i64();
+  if (!r.ok || lo < 0 || hi > m.rows() || rows != hi - lo || cols != m.cols()) {
+    r.ok = false;
+    return false;
+  }
+  return r.bytes(m.data() + static_cast<std::size_t>(lo) * static_cast<std::size_t>(cols),
+                 static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
+                     sizeof(float));
+}
+
+void put_csr(Writer& w, const Csr<float>& m) { put_csr_rows(w, m, 0, m.rows); }
+
+void put_csr_rows(Writer& w, const Csr<float>& m, Index lo, Index hi) {
+  GPA_CHECK(0 <= lo && lo <= hi && hi <= m.rows &&
+                m.row_offsets.size() == static_cast<std::size_t>(m.rows) + 1,
+            "net: rows to encode must lie inside a well-formed mask");
+  const Index base = m.row_begin(lo);
+  const Index top = m.row_begin(hi);
+  GPA_CHECK(0 <= base && base <= top && static_cast<std::size_t>(top) <= m.col_idx.size() &&
+                m.col_idx.size() == m.values.size(),
+            "net: rows to encode must lie inside a well-formed mask");
   w.i64(m.rows);
   w.i64(m.cols);
-  w.u64(m.nnz());
+  w.u64(static_cast<std::uint64_t>(top - base));
+  // Offsets rebased to row lo: 0 up to it, flat after row hi.
+  const std::size_t at = w.buf.size();
+  w.buf.resize(at + m.row_offsets.size() * sizeof(Index));
+  for (std::size_t i = 0; i < m.row_offsets.size(); ++i) {
+    const Index off = std::clamp(m.row_offsets[i], base, top) - base;
+    std::memcpy(w.buf.data() + at + i * sizeof(Index), &off, sizeof(Index));
+  }
   // Bulk copies, on the same little-endian assumption as put_matrix.
-  w.bytes(m.row_offsets.data(), m.row_offsets.size() * sizeof(Index));
-  w.bytes(m.col_idx.data(), m.col_idx.size() * sizeof(Index));
-  w.bytes(m.values.data(), m.values.size() * sizeof(float));
+  w.bytes(m.col_idx.data() + base, static_cast<std::size_t>(top - base) * sizeof(Index));
+  w.bytes(m.values.data() + base, static_cast<std::size_t>(top - base) * sizeof(float));
 }
 
 bool get_csr(Reader& r, Csr<float>& m) {

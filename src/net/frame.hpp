@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,9 +80,15 @@ struct Frame {
 /// payload; its header check is the low 32 bits of this over the header.
 std::uint64_t frame_checksum(const std::uint8_t* data, std::size_t n);
 
+/// Frame a payload where it lies: `wire` holds kFrameHeaderBytes of room
+/// followed by the payload. Writes the header into the room and appends
+/// the checksum trailer, so the payload is never copied. The payload
+/// must be non-empty and within the cap; violations are caller bugs and
+/// throw InvalidArgument.
+void frame_in_place(std::vector<std::uint8_t>& wire, std::uint16_t type, std::uint16_t flags);
+
 /// Serialize a frame (header + payload + checksum trailer) into `out`
-/// (overwritten). The payload must be non-empty and within the cap;
-/// violations are caller bugs and throw InvalidArgument.
+/// (overwritten), with the same checks as frame_in_place.
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out);
 
 /// Decode one complete frame from a buffer. The buffer must contain
@@ -93,8 +100,10 @@ WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out);
 /// Blocking frame I/O over a transport. read_frame returns Closed on
 /// EOF/timeout and the header/payload statuses on corrupt bytes; it
 /// never hangs beyond the transport's own receive timeout and never
-/// allocates more than the length prefix admits.
+/// allocates more than the length prefix admits. It reuses `out`'s
+/// payload capacity. send_framed sends bytes frame_in_place framed.
 WireStatus write_frame(Transport& t, const Frame& frame);
+WireStatus send_framed(Transport& t, const std::vector<std::uint8_t>& wire);
 WireStatus read_frame(Transport& t, Frame& out);
 
 // ---------------------------------------------------------------------
@@ -140,7 +149,7 @@ struct Reader {
   bool ok = true;
 
   Reader(const std::uint8_t* data, std::size_t n) : p(data), end(data + n) {}
-  explicit Reader(const std::vector<std::uint8_t>& v) : Reader(v.data(), v.size()) {}
+  explicit Reader(std::span<const std::uint8_t> bytes) : Reader(bytes.data(), bytes.size()) {}
 
   std::size_t remaining() const { return ok ? static_cast<std::size_t>(end - p) : 0; }
   bool done() const { return ok && p == end; }
@@ -191,6 +200,7 @@ struct Reader {
   }
   bool bytes(void* dst, std::size_t n) {
     if (!take(n)) return false;
+    if (n == 0) return true;  // an empty matrix or array may have no storage
     std::memcpy(dst, p, n);
     p += n;
     return true;
@@ -208,9 +218,19 @@ bool get_string(Reader& r, std::string& s);
 
 void put_matrix(Writer& w, const Matrix<float>& m);
 bool get_matrix(Reader& r, Matrix<float>& m);
+/// Rows [lo, hi) of `m`, encoded as put_matrix encodes a matrix holding
+/// only those rows, written straight from `m`.
+void put_matrix_rows(Writer& w, const Matrix<float>& m, Index lo, Index hi);
+/// Reads a matrix that must be (hi - lo) × m.cols() straight into rows
+/// [lo, hi) of `m`; false (and nothing trusted) on any other shape.
+bool get_matrix_rows(Reader& r, Matrix<float>& m, Index lo, Index hi);
 
 void put_csr(Writer& w, const Csr<float>& m);
 bool get_csr(Reader& r, Csr<float>& m);
+/// Rows [lo, hi) of `m` as put_csr encodes a mask of the same shape
+/// whose other rows are empty (row and column ids stay global), written
+/// straight from `m`. put_csr is this over every row.
+void put_csr_rows(Writer& w, const Csr<float>& m, Index lo, Index hi);
 
 void put_partition(Writer& w, const seqpar::Partition& p);
 bool get_partition(Reader& r, seqpar::Partition& p);

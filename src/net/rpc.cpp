@@ -63,17 +63,6 @@ const char* to_string(Op op) {
   return "unknown";
 }
 
-WireStatus send_request(Transport& t, const RpcRequest& req) {
-  Frame f;
-  f.type = kFrameRequest;
-  Writer w;
-  w.u64(req.id);
-  w.u8(static_cast<std::uint8_t>(req.op));
-  w.bytes(req.body.data(), req.body.size());
-  f.payload = std::move(w.buf);
-  return write_frame(t, f);
-}
-
 WireStatus recv_request(Transport& t, RpcRequest& req) {
   Frame f;
   const WireStatus ws = read_frame(t, f);
@@ -98,19 +87,6 @@ WireStatus send_response(Transport& t, const RpcResponse& rsp) {
   return write_frame(t, f);
 }
 
-WireStatus recv_response(Transport& t, RpcResponse& rsp) {
-  Frame f;
-  const WireStatus ws = read_frame(t, f);
-  if (ws != WireStatus::Ok) return ws;
-  if (f.type != kFrameResponse) return WireStatus::Malformed;
-  Reader r(f.payload);
-  rsp.id = r.u64();
-  rsp.status = static_cast<RpcStatus>(r.u8());
-  if (!r.ok) return WireStatus::Malformed;
-  rsp.body.assign(r.p, r.end);
-  return WireStatus::Ok;
-}
-
 void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& detail,
                          std::uint64_t session_id) {
   rsp.status = status;
@@ -120,6 +96,12 @@ void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& 
   rsp.body = std::move(w.buf);
 }
 
+namespace {
+/// Where a request body starts in the send buffer: after the frame
+/// header, the request id (u64) and the op (u8).
+constexpr std::size_t kRequestBodyAt = kFrameHeaderBytes + 9;
+}  // namespace
+
 void RpcClient::fail(const std::string& what) {
   RpcMetrics::get().transport_failures.inc();
   pending_ = 0;
@@ -127,60 +109,79 @@ void RpcClient::fail(const std::string& what) {
   throw TransportError("rpc: " + what);
 }
 
-std::uint64_t RpcClient::send(Op op, std::vector<std::uint8_t> body) {
-  GPA_CHECK(pending_ == 0, "rpc: a request is already in flight on this connection");
-  RpcMetrics::get().calls.inc();
-  RpcRequest req;
-  req.id = next_id_++;
-  req.op = op;
-  req.body = std::move(body);
-  sent_at_ = std::chrono::steady_clock::now();
-  if (send_request(t_, req) != WireStatus::Ok) {
-    fail("send failed (" + std::string(to_string(op)) + ")");
-  }
-  pending_ = req.id;
-  pending_op_ = op;
-  return req.id;
+Writer& RpcClient::body() {
+  // Room for the frame header, the request id and the op, which send()
+  // fills in; the body follows.
+  out_.buf.assign(kRequestBodyAt, 0);
+  return out_;
 }
 
-std::vector<std::uint8_t> RpcClient::receive(std::uint64_t id) {
+std::uint64_t RpcClient::send(Op op) {
+  GPA_CHECK(pending_ == 0, "rpc: a request is already in flight on this connection");
+  std::vector<std::uint8_t>& wire = out_.buf;
+  GPA_CHECK(wire.size() >= kRequestBodyAt, "rpc: write the request through body()");
+  if (wire.size() - kFrameHeaderBytes > kMaxFramePayload) {
+    std::vector<std::uint8_t>().swap(wire);  // keep nothing above the cap
+    throw InvalidArgument("rpc: request exceeds the frame cap");
+  }
+  RpcMetrics::get().calls.inc();
+  const std::uint64_t id = next_id_++;
+  std::uint8_t* head = wire.data() + kFrameHeaderBytes;
+  for (int b = 0; b < 8; ++b) head[b] = static_cast<std::uint8_t>(id >> (8 * b));
+  head[8] = static_cast<std::uint8_t>(op);
+  frame_in_place(wire, kFrameRequest, 0);
+  sent_at_ = std::chrono::steady_clock::now();
+  if (send_framed(t_, wire) != WireStatus::Ok) {
+    fail("send failed (" + std::string(to_string(op)) + ")");
+  }
+  wire.clear();  // keeps its capacity for the next body()
+  pending_ = id;
+  pending_op_ = op;
+  return id;
+}
+
+std::span<const std::uint8_t> RpcClient::receive(std::uint64_t id) {
   GPA_CHECK(id != 0 && id == pending_, "rpc: no request in flight with this id");
   RpcMetrics& rm = RpcMetrics::get();
-  RpcResponse rsp;
-  const WireStatus ws = recv_response(t_, rsp);
+  WireStatus ws = read_frame(t_, in_);
+  Reader r(in_.payload);
+  const std::uint64_t got = r.u64();
+  const auto status = static_cast<RpcStatus>(r.u8());
+  if (ws == WireStatus::Ok && (in_.type != kFrameResponse || !r.ok)) ws = WireStatus::Malformed;
   if (ws != WireStatus::Ok) {
     fail("receive failed (" + std::string(to_string(pending_op_)) + ": " + to_string(ws) +
          ")");
   }
-  if (rsp.id != id) fail("response id mismatch — connection desynchronised");
+  if (got != id) fail("response id mismatch — connection desynchronised");
   pending_ = 0;
   rm.latency_us.observe(
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - sent_at_)
           .count());
-  if (rsp.status == RpcStatus::Ok) return std::move(rsp.body);
+  if (status == RpcStatus::Ok) return {r.p, r.remaining()};
   rm.errors.inc();
 
   // Rebuild the typed exception the local API would have thrown.
-  Reader r(rsp.body);
   std::string detail;
   get_string(r, detail);
   const std::uint64_t sid = r.u64();
-  switch (rsp.status) {
+  switch (status) {
     case RpcStatus::SessionNotFound: throw kvcache::SessionNotFound(sid);
     case RpcStatus::SessionEvicted: throw kvcache::SessionEvicted(sid);
     case RpcStatus::CacheFull: throw kvcache::CacheFull();
     case RpcStatus::InvalidArgument:
-      throw InvalidArgument(detail.empty() ? std::string(to_string(rsp.status)) : detail);
-    default: throw RpcError(rsp.status, detail.empty() ? to_string(rsp.status) : detail);
+      throw InvalidArgument(detail.empty() ? std::string(to_string(status)) : detail);
+    default: throw RpcError(status, detail.empty() ? to_string(status) : detail);
   }
 }
 
-std::vector<std::uint8_t> RpcClient::call(Op op, std::vector<std::uint8_t> body) {
+std::vector<std::uint8_t> RpcClient::call(Op op, const std::vector<std::uint8_t>& body) {
   // Span name = the op's static string, so a trace shows which RPCs a
   // client spent its wall-clock in; the latency histogram is the
   // aggregate view of the same interval.
   obs::trace::Span span(to_string(op), "net.rpc");
-  return receive(send(op, std::move(body)));
+  this->body().bytes(body.data(), body.size());
+  const auto rsp = receive(send(op));
+  return {rsp.begin(), rsp.end()};
 }
 
 }  // namespace gpa::net

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,20 +69,30 @@ struct RpcResponse {
   std::vector<std::uint8_t> body;
 };
 
-WireStatus send_request(Transport& t, const RpcRequest& req);
+/// The node's half of the protocol (RpcClient is the client's).
 WireStatus recv_request(Transport& t, RpcRequest& req);
 WireStatus send_response(Transport& t, const RpcResponse& rsp);
-WireStatus recv_response(Transport& t, RpcResponse& rsp);
 
 /// Helper for error responses: body = [detail][session id].
 void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& detail,
                          std::uint64_t session_id);
 
 /// Client half of one connection: matches response ids to request ids.
-/// A connection carries at most one request in flight. call() is send()
-/// then receive(); a caller that talks to several peers at once sends
-/// to each before it receives from any, so the peers work concurrently
-/// on the calling thread.
+/// A connection carries at most one request in flight. A request is
+/// written into body(), then sent; call() is that, then receive(). A
+/// caller that talks to several peers at once sends to each before it
+/// receives from any, so the peers work concurrently on the calling
+/// thread.
+///
+/// The client keeps one send buffer and one receive frame for the life
+/// of the connection. Each is cleared and reused by the next request
+/// and never freed, so sends and receives allocate nothing once the
+/// buffers have grown to the largest frame seen; neither is kept above
+/// the frame cap. body() writes the request straight into the send
+/// buffer, after room for the frame header; send() frames it where it
+/// lies. receive() returns a view of the response body inside the
+/// receive frame: it stays valid until the next receive() on this
+/// client.
 ///
 /// Both halves throw TransportError if the peer vanished or sent
 /// unframeable bytes, and close the transport first: its stream
@@ -99,17 +110,25 @@ class RpcClient {
  public:
   explicit RpcClient(Transport& t) : t_(t) {}
 
-  /// Sends one request and returns its id. InvalidArgument if another
-  /// request is still in flight.
-  std::uint64_t send(Op op, std::vector<std::uint8_t> body);
+  /// The body of the next request, empty. Write it through the
+  /// Writer's methods (its buffer also holds the framing room).
+  Writer& body();
+  /// Sends body() as `op` and returns the request id. InvalidArgument
+  /// if another request is still in flight, or if the body exceeds the
+  /// frame cap (the send buffer is then freed).
+  std::uint64_t send(Op op);
   /// Reads the response to `id`, which must be the request in flight.
-  std::vector<std::uint8_t> receive(std::uint64_t id);
-  std::vector<std::uint8_t> call(Op op, std::vector<std::uint8_t> body);
+  std::span<const std::uint8_t> receive(std::uint64_t id);
+  /// send() with `body` as the body, then receive(); returns a copy of
+  /// the response body.
+  std::vector<std::uint8_t> call(Op op, const std::vector<std::uint8_t>& body);
 
  private:
   [[noreturn]] void fail(const std::string& what);
 
   Transport& t_;
+  Writer out_;  ///< the request being written, then its frame
+  Frame in_;    ///< the last response
   std::uint64_t next_id_ = 1;
   std::uint64_t pending_ = 0;  ///< id in flight; 0 when idle
   Op pending_op_ = Op::Ping;

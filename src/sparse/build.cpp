@@ -4,26 +4,34 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "graph/neighbors.hpp"
 
 namespace gpa {
 
 namespace {
 
-Csr<float> csr_from_rows(Index seq_len,
-                         const std::function<void(Index, std::vector<Index>&)>& row_cols) {
+/// Count-then-fill skeleton of the O(NNZ) builders: `row(i, visit)`
+/// calls visit(j) for each column of row i in ascending order. The
+/// first pass counts each row's degree, so col_idx and values are
+/// allocated once, at their final size, and the second writes them.
+template <typename RowFn>
+Csr<float> csr_from_rows(Index seq_len, const RowFn& row) {
+  GPA_CHECK(seq_len >= 0, "sequence length must be non-negative");
   Csr<float> csr;
   csr.rows = seq_len;
   csr.cols = seq_len;
-  csr.row_offsets.resize(static_cast<std::size_t>(seq_len) + 1, 0);
-  std::vector<Index> cols;
+  csr.row_offsets.reserve(static_cast<std::size_t>(seq_len) + 1);
+  csr.row_offsets.push_back(0);
+  Index nnz = 0;
   for (Index i = 0; i < seq_len; ++i) {
-    cols.clear();
-    row_cols(i, cols);
-    csr.row_offsets[static_cast<std::size_t>(i) + 1] =
-        csr.row_offsets[static_cast<std::size_t>(i)] + static_cast<Index>(cols.size());
-    csr.col_idx.insert(csr.col_idx.end(), cols.begin(), cols.end());
+    row(i, [&](Index) { ++nnz; });
+    csr.row_offsets.push_back(nnz);
   }
-  csr.values.assign(csr.col_idx.size(), 1.0f);
+  csr.col_idx.reserve(static_cast<std::size_t>(nnz));
+  for (Index i = 0; i < seq_len; ++i) {
+    row(i, [&](Index j) { csr.col_idx.push_back(j); });
+  }
+  csr.values.assign(static_cast<std::size_t>(nnz), 1.0f);
   return csr;
 }
 
@@ -31,12 +39,21 @@ Csr<float> csr_from_rows(Index seq_len,
 
 Csr<float> build_csr_from_predicate(Index seq_len,
                                     const std::function<bool(Index, Index)>& pred) {
+  // The oracle the O(NNZ) builders are tested against, so it shares none
+  // of their code: a plain scan of all L² cells.
   GPA_CHECK(seq_len >= 0, "sequence length must be non-negative");
-  return csr_from_rows(seq_len, [&](Index i, std::vector<Index>& cols) {
+  Csr<float> csr;
+  csr.rows = seq_len;
+  csr.cols = seq_len;
+  csr.row_offsets.push_back(0);
+  for (Index i = 0; i < seq_len; ++i) {
     for (Index j = 0; j < seq_len; ++j) {
-      if (pred(i, j)) cols.push_back(j);
+      if (pred(i, j)) csr.col_idx.push_back(j);
     }
-  });
+    csr.row_offsets.push_back(static_cast<Index>(csr.col_idx.size()));
+  }
+  csr.values.assign(csr.col_idx.size(), 1.0f);
+  return csr;
 }
 
 Coo<float> build_coo_from_predicate(Index seq_len,
@@ -46,75 +63,59 @@ Coo<float> build_coo_from_predicate(Index seq_len,
 
 Csr<float> build_csr_local(Index seq_len, const LocalParams& p) {
   GPA_CHECK(p.window >= 1, "local window must be >= 1");
-  return csr_from_rows(seq_len, [&](Index i, std::vector<Index>& cols) {
-    const Index lo = std::max<Index>(0, i - (p.window - 1));
-    const Index hi = std::min<Index>(seq_len - 1, i + (p.window - 1));
-    for (Index j = lo; j <= hi; ++j) cols.push_back(j);
+  return csr_from_rows(seq_len, [&](Index i, const auto& visit) {
+    local_neighbors(i, seq_len, p, visit);
   });
 }
 
 Csr<float> build_csr_dilated1d(Index seq_len, const Dilated1DParams& p) {
   GPA_CHECK(p.window >= 1 && p.dilation >= 0, "bad dilated-1D parameters");
-  const Index step = p.dilation + 1;
-  return csr_from_rows(seq_len, [&](Index i, std::vector<Index>& cols) {
-    // Admissible distances are multiples of (r+1) below w; walk them in
-    // column order.
-    const Index max_d = p.window - 1;
-    for (Index d = (max_d / step) * step; d >= step; d -= step) {
-      if (i - d >= 0) cols.push_back(i - d);
-    }
-    cols.push_back(i);
-    for (Index d = step; d <= max_d; d += step) {
-      if (i + d < seq_len) cols.push_back(i + d);
-    }
-    // The backward walk appended in descending distance = ascending
-    // column order already; nothing to sort.
+  return csr_from_rows(seq_len, [&](Index i, const auto& visit) {
+    dilated1d_neighbors(i, seq_len, p, visit);
   });
 }
 
 Csr<float> build_csr_dilated2d(const Dilated2DParams& p) {
-  const Index L = p.seq_len;
-  const Index g = p.group_size();
-  GPA_CHECK(g >= 1 && L % p.block == 0, "bad dilated-2D parameters");
-  return csr_from_rows(L, [&](Index i, std::vector<Index>& cols) {
-    if ((i % p.block) % (p.dilation + 1) != 0) return;
-    const Index group = i / g;
-    const Index lo = group * g;
-    for (Index j = lo; j < lo + g; ++j) {
-      if ((j % p.block) % (p.dilation + 1) == 0) cols.push_back(j);
-    }
+  GPA_CHECK(p.group_size() >= 1 && p.seq_len % p.block == 0, "bad dilated-2D parameters");
+  return csr_from_rows(p.seq_len, [&](Index i, const auto& visit) {
+    dilated2d_neighbors(i, p, visit);
   });
 }
 
 Csr<float> build_csr_global(Index seq_len, const GlobalParams& p) {
-  return csr_from_rows(seq_len, [&](Index i, std::vector<Index>& cols) {
+  return csr_from_rows(seq_len, [&](Index i, const auto& visit) {
     if (p.is_global(i)) {
-      for (Index j = 0; j < seq_len; ++j) cols.push_back(j);
+      for (Index j = 0; j < seq_len; ++j) visit(j);
     } else {
-      for (const Index j : p.tokens) cols.push_back(j);
+      for (const Index j : p.tokens) visit(j);
     }
+  });
+}
+
+Csr<float> build_csr_global_minus_local(Index seq_len, const GlobalMinusLocalParams& p) {
+  GPA_CHECK(p.local.window >= 1, "local window must be >= 1");
+  return csr_from_rows(seq_len, [&](Index i, const auto& visit) {
+    global_minus_local_neighbors(i, seq_len, p, visit);
   });
 }
 
 Csr<float> build_csr_random(Index seq_len, const RandomParams& p) {
   GPA_CHECK(p.sparsity >= 0.0 && p.sparsity <= 1.0, "random sparsity must be in [0,1]");
   Rng rng(p.seed);
-  if (p.sparsity <= 0.0) {
-    Csr<float> empty;
-    empty.rows = empty.cols = seq_len;
-    empty.row_offsets.assign(static_cast<std::size_t>(seq_len) + 1, 0);
-    return empty;
-  }
+  Csr<float> csr;
+  csr.rows = csr.cols = seq_len;
+  csr.row_offsets.assign(static_cast<std::size_t>(seq_len) + 1, 0);
+  if (p.sparsity <= 0.0) return csr;
   // Geometric gap sampling over the flattened L² index space: expected
   // cost O(Sf·L²) instead of O(L²) Bernoulli trials.
   const double q = 1.0 - p.sparsity;
   const double log_q = std::log(q);
-  Csr<float> csr;
-  csr.rows = csr.cols = seq_len;
-  csr.row_offsets.assign(static_cast<std::size_t>(seq_len) + 1, 0);
   const double total = static_cast<double>(seq_len) * static_cast<double>(seq_len);
+  // The expected NNZ plus six standard deviations: the columns are
+  // allocated once for all but a vanishing fraction of seeds.
+  const double mean = p.sparsity * total;
+  csr.col_idx.reserve(static_cast<std::size_t>(mean + 6.0 * std::sqrt(mean * q) + 16.0));
   double pos = -1.0;
-  std::vector<Index> rows_tmp;
   for (;;) {
     const double u = std::max(rng.next_double(), 1e-300);  // avoid log(0)
     const double gap = p.sparsity < 1.0 ? std::floor(std::log(u) / log_q) : 0.0;
@@ -123,11 +124,11 @@ Csr<float> build_csr_random(Index seq_len, const RandomParams& p) {
     const auto flat = static_cast<Size>(pos);
     const Index i = static_cast<Index>(flat / static_cast<Size>(seq_len));
     const Index j = static_cast<Index>(flat % static_cast<Size>(seq_len));
-    rows_tmp.push_back(i);
+    ++csr.row_offsets[static_cast<std::size_t>(i) + 1];
     csr.col_idx.push_back(j);
   }
-  // Flattened order is already (row, col) sorted; build offsets by count.
-  for (const Index r : rows_tmp) ++csr.row_offsets[static_cast<std::size_t>(r) + 1];
+  // Flattened order is already (row, col) sorted; the counts become
+  // offsets by a prefix sum.
   for (Index i = 0; i < seq_len; ++i) {
     csr.row_offsets[static_cast<std::size_t>(i) + 1] +=
         csr.row_offsets[static_cast<std::size_t>(i)];
@@ -138,10 +139,10 @@ Csr<float> build_csr_random(Index seq_len, const RandomParams& p) {
 
 Csr<float> dense_to_csr(const Matrix<std::uint8_t>& mask) {
   GPA_CHECK(mask.rows() == mask.cols(), "attention masks are square");
-  return csr_from_rows(mask.rows(), [&](Index i, std::vector<Index>& cols) {
+  return csr_from_rows(mask.rows(), [&](Index i, const auto& visit) {
     const std::uint8_t* row = mask.row(i);
     for (Index j = 0; j < mask.cols(); ++j) {
-      if (row[j] != 0) cols.push_back(j);
+      if (row[j] != 0) visit(j);
     }
   });
 }
@@ -190,18 +191,26 @@ Csr<float> coo_to_csr(const Coo<float>& coo) {
 Csr<float> csr_leading_slice(const Csr<float>& mask, Index n) {
   GPA_CHECK(n >= 0 && n <= mask.rows && n <= mask.cols,
             "slice extent must fit inside the mask");
+  // Columns are sorted, so row i of the slice is a prefix of the row:
+  // count each prefix, then copy them into arrays sized once.
   Csr<float> s;
   s.rows = n;
   s.cols = n;
-  s.row_offsets.assign(1, 0);
+  s.row_offsets.reserve(static_cast<std::size_t>(n) + 1);
+  s.row_offsets.push_back(0);
   for (Index i = 0; i < n; ++i) {
-    for (Index kk = mask.row_begin(i); kk < mask.row_end(i); ++kk) {
-      const Index j = mask.col_idx[static_cast<std::size_t>(kk)];
-      if (j >= n) break;  // columns sorted: rest of the row is outside
-      s.col_idx.push_back(j);
-      s.values.push_back(mask.values[static_cast<std::size_t>(kk)]);
-    }
-    s.row_offsets.push_back(static_cast<Index>(s.col_idx.size()));
+    const auto first = mask.col_idx.begin() + mask.row_begin(i);
+    const auto last = std::lower_bound(first, mask.col_idx.begin() + mask.row_end(i), n);
+    s.row_offsets.push_back(s.row_offsets.back() + static_cast<Index>(last - first));
+  }
+  const auto nnz = static_cast<std::size_t>(s.row_offsets.back());
+  s.col_idx.reserve(nnz);
+  s.values.reserve(nnz);
+  for (Index i = 0; i < n; ++i) {
+    const Index b = mask.row_begin(i);
+    const Index e = b + s.row_degree(i);
+    s.col_idx.insert(s.col_idx.end(), mask.col_idx.begin() + b, mask.col_idx.begin() + e);
+    s.values.insert(s.values.end(), mask.values.begin() + b, mask.values.begin() + e);
   }
   return s;
 }

@@ -14,23 +14,30 @@
 
 namespace gpa {
 
-/// Arbitrary-predicate builders. `pred(i, j)` is evaluated over the full
-/// L×L index space, so cost is O(L²) — intended for tests and mask
-/// preparation, not kernels (the implicit kernels never materialise).
+/// Arbitrary-predicate builders: `pred(i, j)` is evaluated on all L²
+/// cells. They are the test oracle the O(NNZ) builders below are checked
+/// against, and share none of their code; nothing in the library builds
+/// a mask this way.
 Csr<float> build_csr_from_predicate(Index seq_len,
                                     const std::function<bool(Index, Index)>& pred);
 Coo<float> build_coo_from_predicate(Index seq_len,
                                     const std::function<bool(Index, Index)>& pred);
 
-/// Pattern-specific builders that enumerate only the non-zeros, so cost
-/// is O(NNZ) — usable at benchmark scale.
+/// Pattern-specific builders. Each enumerates every row twice, once to
+/// count and once to write, so cost is O(NNZ) and every array is
+/// allocated once, at its final size. The local, dilated and
+/// global-minus-local rows come from the graph/neighbors.hpp generators
+/// the implicit kernels run.
 Csr<float> build_csr_local(Index seq_len, const LocalParams& p);
 Csr<float> build_csr_dilated1d(Index seq_len, const Dilated1DParams& p);
 Csr<float> build_csr_dilated2d(const Dilated2DParams& p);
 Csr<float> build_csr_global(Index seq_len, const GlobalParams& p);
+/// The edges the global kernel visits: global minus the local window.
+Csr<float> build_csr_global_minus_local(Index seq_len, const GlobalMinusLocalParams& p);
 
 /// Uniform random mask with expected sparsity `p.sparsity`
-/// (deterministic given p.seed). O(NNZ) via geometric gap sampling.
+/// (deterministic given p.seed). O(NNZ) via geometric gap sampling; the
+/// rows are counted as the samples arrive.
 Csr<float> build_csr_random(Index seq_len, const RandomParams& p);
 
 /// Leading n×n principal sub-mask of a canonical CSR (rows 0..n-1,

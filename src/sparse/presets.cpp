@@ -49,8 +49,7 @@ MaskComponent global_component(Index seq_len, Index num_global, const LocalParam
   c.name = "global(g=" + std::to_string(num_global) + ")-local";
   c.global.global = make_global(prefix_tokens(num_global), seq_len);
   c.global.local = minus_local;
-  c.csr = build_csr_from_predicate(
-      seq_len, [&](Index i, Index j) { return c.global.contains(i, j); });
+  c.csr = build_csr_global_minus_local(seq_len, c.global);
   return c;
 }
 
@@ -99,17 +98,15 @@ ComposedMask make_bigbird(Index seq_len, Index reach, Index num_global, double r
   m.components.push_back(global_component(seq_len, num_global, m.components[0].local));
 
   // Random component, made disjoint from local+global so the sequential
-  // kernel chain (local ; global ; CSR) never double-counts an edge.
+  // kernel chain (local ; global ; CSR) never double-counts an edge. The
+  // fused mask is that local+global union plus the random component.
   MaskComponent r;
   r.kind = MaskComponent::Kind::RandomCsr;
   r.name = "random(sf=" + std::to_string(random_sf) + ")";
-  Csr<float> raw = build_csr_random(seq_len, RandomParams{random_sf, seed});
   const Csr<float> covered = mask_union(m.components[0].csr, m.components[1].csr);
-  r.csr = mask_subtract(raw, covered);
+  r.csr = mask_subtract(build_csr_random(seq_len, RandomParams{random_sf, seed}), covered);
+  m.fused = mask_union(covered, r.csr);
   m.components.push_back(std::move(r));
-
-  m.fused = mask_union(mask_union(m.components[0].csr, m.components[1].csr),
-                       m.components[2].csr);
   return m;
 }
 

@@ -7,7 +7,10 @@
 // Each preset exposes (a) its primitive components — already made
 // pairwise disjoint so kernels can be chained sequentially exactly as
 // the paper runs them — and (b) the fused union mask for the single-CSR
-// evaluation path.
+// evaluation path. Every component and the fused mask are built in
+// O(NNZ): the global component enumerates global-minus-local rows
+// directly, and the masks are equal, edge for edge and value for value,
+// to the ones the O(L²) predicate oracle builds (test_presets).
 
 #include <optional>
 #include <string>

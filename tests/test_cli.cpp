@@ -47,6 +47,12 @@ TEST(CliSmoke, RunBigbirdTinyVerifiesAgainstReference) {
   EXPECT_NE(r.output.find("verified:    OK"), std::string::npos) << r.output;
 }
 
+TEST(CliSmoke, RunLongformerCausalVerifiesAgainstReference) {
+  const auto r = run_cli("run --pattern longformer --length 96 --dim 16 --causal");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("verified:    OK"), std::string::npos) << r.output;
+}
+
 TEST(CliSmoke, MemmodelListsAlgorithms) {
   const auto r = run_cli("memmodel --dtype fp16 --dim 64 --sf 0.0001");
   EXPECT_EQ(r.exit_code, 0) << r.output;

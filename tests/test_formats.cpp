@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/batched.hpp"
 #include "sparse/build.hpp"
 #include "sparse/nnz.hpp"
 
@@ -105,6 +106,13 @@ TEST(PredicateBuilderTest, MatchesPatternBuilders) {
       build_csr_from_predicate(L, [&](Index i, Index j) { return gp.contains(i, j); });
   const auto gpat = build_csr_global(L, gp);
   EXPECT_EQ(gpred.col_idx, gpat.col_idx);
+
+  const GlobalMinusLocalParams gml{make_global({0, 7, 39}, L), LocalParams{4}};
+  const auto gmlpred =
+      build_csr_from_predicate(L, [&](Index i, Index j) { return gml.contains(i, j); });
+  const auto gmlpat = build_csr_global_minus_local(L, gml);
+  EXPECT_EQ(gmlpred.row_offsets, gmlpat.row_offsets);
+  EXPECT_EQ(gmlpred.col_idx, gmlpat.col_idx);
 }
 
 TEST(RandomMaskTest, DeterministicPerSeed) {
@@ -118,6 +126,35 @@ TEST(RandomMaskTest, DifferentSeedsDiffer) {
   const auto a = build_csr_random(128, RandomParams{0.05, 7});
   const auto b = build_csr_random(128, RandomParams{0.05, 8});
   EXPECT_NE(a.col_idx, b.col_idx);
+}
+
+TEST(RandomMaskTest, SeededSamplesArePinned) {
+  // Fingerprints recorded from the sampler before its rows were counted
+  // in place. A change to the sampler that moves any seeded mask, the
+  // benchmark's csr_random and BigBird inputs included, fails here.
+  struct Pinned {
+    Index seq_len;
+    double sparsity;
+    std::uint64_t seed;
+    Size nnz;
+    std::uint64_t fingerprint;
+  };
+  const Pinned cases[] = {
+      {1, 1.0, 1, 1, 0x3fe5556aaba2d085ull},
+      {1, 0.5, 3, 1, 0x3fe5556aaba2d085ull},
+      {16, 1.0, 1, 256, 0x5f0743ade2730645ull},
+      {7, 0.3, 5, 22, 0x2bc0eff05318f126ull},
+      {128, 0.05, 7, 835, 0x0d9f13db954db642ull},
+      {1000, 0.002, 99, 2038, 0x4e11b32534e81519ull},
+      {8192, 256.0 / 8192, 1, 2097387, 0xfb6f75f546235185ull},
+      {8192, 64.0 / 8192, 2025, 524168, 0x02daad111131d005ull},
+  };
+  for (const Pinned& c : cases) {
+    const auto m = build_csr_random(c.seq_len, RandomParams{c.sparsity, c.seed});
+    EXPECT_EQ(m.nnz(), c.nnz) << "L=" << c.seq_len << " seed=" << c.seed;
+    EXPECT_EQ(mask_fingerprint(m), c.fingerprint) << "L=" << c.seq_len << " seed=" << c.seed;
+    EXPECT_EQ(m.values, std::vector<float>(m.nnz(), 1.0f));
+  }
 }
 
 TEST(RandomMaskTest, HitsExpectedSparsity) {

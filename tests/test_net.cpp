@@ -548,9 +548,11 @@ TEST(Cluster, RingPrefillBitIdenticalToSimCluster) {
 
   for (const seqpar::Partition& part : parts) {
     const Index P = part.parts();
+    // One client for both prefills: the second reuses the router's kept
+    // buffers and overwrites the first prefill's rows in `wire_out`.
+    LoopbackCluster cluster(P);
+    Matrix<float> wire_out;
     for (const bool causal : {false, true}) {
-      LoopbackCluster cluster(P);
-      Matrix<float> wire_out;
       const auto rep =
           cluster.client.ring_prefill(q, k, v, mask, part, causal, -1.0f, wire_out);
       EXPECT_EQ(rep.shard_deliveries, static_cast<Size>(P) * static_cast<Size>(P - 1));

@@ -239,13 +239,19 @@ int run_typed(const Args& args, const Csr<float>& mask) {
   }
   Csr<float> check_mask = mask;
   if (opts.causal) {
-    check_mask = build_csr_from_predicate(L, [&](Index i, Index j) {
-      if (j > i) return false;
+    // Keep each row's columns j <= i, in one pass over the edges.
+    check_mask.col_idx.clear();
+    check_mask.values.clear();
+    for (Index i = 0; i < L; ++i) {
       for (Index kk = mask.row_begin(i); kk < mask.row_end(i); ++kk) {
-        if (mask.col_idx[static_cast<std::size_t>(kk)] == j) return true;
+        const Index j = mask.col_idx[static_cast<std::size_t>(kk)];
+        if (j > i) break;  // columns are sorted
+        check_mask.col_idx.push_back(j);
+        check_mask.values.push_back(mask.values[static_cast<std::size_t>(kk)]);
       }
-      return false;
-    });
+      check_mask.row_offsets[static_cast<std::size_t>(i) + 1] =
+          static_cast<Index>(check_mask.col_idx.size());
+    }
   }
   Matrix<float> expected(L, d);
   baselines::reference_attention(qf, kf, vf, check_mask, expected);
