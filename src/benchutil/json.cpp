@@ -44,12 +44,13 @@ std::string fmt(double v) {
 
 void write_kernel_bench_json(const std::string& path,
                              const std::vector<KernelBenchRecord>& records,
-                             const std::string& parallel_backend_name) {
+                             const std::string& parallel_backend_name, int hw_threads) {
   std::ofstream out(path);
   GPA_CHECK(out.good(), "cannot open JSON output file: " + path);
   out << "{\n"
-      << "  \"schema\": \"gpa-bench-kernels/v2\",\n"
+      << "  \"schema\": \"gpa-bench-kernels/v3\",\n"
       << "  \"parallel_backend\": \"" << escape(parallel_backend_name) << "\",\n"
+      << "  \"hw_threads\": " << hw_threads << ",\n"
       << "  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];

@@ -28,12 +28,13 @@ struct KernelBenchRecord {
   double gflops_per_s = 0.0;   ///< estimated flop count / median
 };
 
-/// Writes `{schema: "gpa-bench-kernels/v2", parallel_backend, records}`
-/// (v2 added per-record simd_requested next to the resolved simd).
+/// Writes `{schema: "gpa-bench-kernels/v3", parallel_backend,
+/// hw_threads, records}` (v2 added per-record simd_requested next to the
+/// resolved simd; v3 added the recording host's hardware threads).
 /// Throws InvalidArgument when the file cannot be opened.
 void write_kernel_bench_json(const std::string& path,
                              const std::vector<KernelBenchRecord>& records,
-                             const std::string& parallel_backend_name);
+                             const std::string& parallel_backend_name, int hw_threads);
 
 /// One cell of the serving throughput-vs-latency surface: a load
 /// pattern (mode, clients or arrival rate) against one batching policy

@@ -14,9 +14,13 @@
 //   U_i    = U_i·alpha + beta·V_j
 //
 // which is exactly the paper's update after multiplying through by l.
+//
+// The fold runs per tile: a row's edges are queued sixteen at a time
+// (EdgeTile) and each tile's dots, softmax pushes and accumulator
+// updates run as three batched steps. Every edge still gets the update
+// above, in edge order, so tiling changes the speed and not the bits.
 
 #include <cmath>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "core/attention_options.hpp"
@@ -48,79 +52,68 @@ void check_inputs(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
             "softmax state shape mismatch — reset(seq_len, head_dim) first");
 }
 
-/// Fold one (row, neighbor) edge into the row's online-softmax state,
-/// with the K/V rows given as raw pointers. This is the lowest-level
-/// form of the fold: the matrix kernels wrap it via fold_edge below, and
-/// the KV-cache decode path calls it directly with paged K/V row
-/// pointers (each page slot is a contiguous d-float span), so incremental
-/// decode reuses the exact fold — same VecOps dispatch, same operation
-/// order — and stays bit-identical to the one-shot kernels.
-/// `qi` is the query row, `acc` the unnormalised accumulator. Both
-/// instantiations route the d-dimension loops (Q·K dot, accumulate /
-/// rescale) through the dispatched vector ops: the half instantiation
-/// uses the fp16 table entries (F16C/AVX-512 widen on load, fp32
-/// accumulate), so half storage vectorizes with the same parity class
-/// as the float path on every arm.
-template <typename T>
-inline void fold_edge_rows(const T* GPA_RESTRICT qi, const T* GPA_RESTRICT kj,
-                           const T* GPA_RESTRICT vj, Index head_dim, float scale, float gate,
-                           bool use_gate, OnlineSoftmaxRow& osr, float* GPA_RESTRICT acc,
-                           const simd::VecOps& vo) {
-  float w;
-  if constexpr (std::is_same_v<T, float>) {
-    w = vo.dot(qi, kj, head_dim);
-  } else {
-    w = vo.dot_h(qi, kj, head_dim);
+template <typename Q, typename KV>
+struct EdgeTile;
+
+/// Folds a tile's queued edges into its row state and empties the queue.
+/// Out of line on purpose (kernel_common.cpp): inlined at every
+/// enumeration site, the flush made the per-edge loop slower than the
+/// edge-at-a-time fold it replaces.
+template <typename Q, typename KV>
+void fold_tile(EdgeTile<Q, KV>& tile);
+
+/// One row's fold, sixteen edges at a time. `add` queues an edge's K
+/// row, V row and gate; every simd::kTileRows edges, and at `flush`,
+/// fold_tile folds the queue in three steps — the tile's Q·K dots
+/// (VecOps::dot_rows), then the scores `w = dot · scale (· gate)` and
+/// their softmax pushes in edge order (OnlineSoftmaxRow::push_each),
+/// then the ordered accumulator updates (VecOps::fold_rows). Each edge
+/// gets exactly the operations of the update in the header comment, in
+/// the same order, so the result is the edge-at-a-time fold's bit for
+/// bit on every arm. Call `flush` at the end of each row, or of each
+/// row's shard.
+///
+/// Q is the query's element type and KV that of the K/V rows: float,
+/// half_t for half matrices, or a float query over half-width KV pages.
+/// The half forms run the same tile fold with the fp16 table entries
+/// (dot_h / dot_fh, axpy_h / axpby_h) edge by edge inside the flush;
+/// fp16 K/V widen exactly, so fp16-page decode differs from fp32-page
+/// decode only by the storage quantisation of K/V.
+template <typename Q, typename KV = Q>
+struct EdgeTile {
+  EdgeTile(const Q* q_row, float* acc_row, OnlineSoftmaxRow row_state, Index dim,
+           float score_scale, bool gated, const simd::VecOps& ops) noexcept
+      : q(q_row), acc(acc_row), osr(row_state), head_dim(dim), scale(score_scale),
+        use_gate(gated), vo(&ops) {}
+
+  void add(const KV* kj, const KV* vj, float g) {
+    k[count] = kj;
+    v[count] = vj;
+    gate[count] = g;
+    if (++count == simd::kTileRows) fold_tile(*this);
   }
-  w *= scale;
-  if (use_gate) w *= gate;
 
-  const auto [alpha, beta] = osr.push(w);
-  if constexpr (std::is_same_v<T, float>) {
-    if (alpha == 1.0f) {  // running max unchanged — skip the rescale multiply
-      vo.axpy(acc, beta, vj, head_dim);
-    } else {
-      vo.axpby(acc, alpha, beta, vj, head_dim);
-    }
-  } else {
-    if (alpha == 1.0f) {
-      vo.axpy_h(acc, beta, vj, head_dim);
-    } else {
-      vo.axpby_h(acc, alpha, beta, vj, head_dim);
-    }
+  void flush() {
+    if (count > 0) fold_tile(*this);
   }
-}
 
-/// Mixed-precision fold for decode over half-width KV pages: the query
-/// row is the caller's fp32 payload, K/V come from fp16 page storage
-/// and widen on load. Numerics match folding the widened rows through
-/// the float path (widening is exact), so fp16-page decode differs from
-/// fp32-page decode only by the storage quantisation of K/V.
-inline void fold_edge_rows_fh(const float* GPA_RESTRICT qi, const half_t* GPA_RESTRICT kj,
-                              const half_t* GPA_RESTRICT vj, Index head_dim, float scale,
-                              float gate, bool use_gate, OnlineSoftmaxRow& osr,
-                              float* GPA_RESTRICT acc, const simd::VecOps& vo) {
-  float w = vo.dot_fh(qi, kj, head_dim);
-  w *= scale;
-  if (use_gate) w *= gate;
+  const Q* q;
+  float* acc;  ///< unnormalised accumulator of the row
+  OnlineSoftmaxRow osr;
+  Index head_dim;
+  float scale;
+  bool use_gate;
+  const simd::VecOps* vo;
 
-  const auto [alpha, beta] = osr.push(w);
-  if (alpha == 1.0f) {
-    vo.axpy_h(acc, beta, vj, head_dim);
-  } else {
-    vo.axpby_h(acc, alpha, beta, vj, head_dim);
-  }
-}
+  Index count = 0;
+  const KV* k[simd::kTileRows];
+  const KV* v[simd::kTileRows];
+  float gate[simd::kTileRows];
+};
 
-/// Matrix-indexed convenience wrapper over fold_edge_rows (the form the
-/// one-shot kernels' row enumerators use).
-template <typename T>
-inline void fold_edge(const T* GPA_RESTRICT qi, const Matrix<T>& k_mat, const Matrix<T>& v_mat,
-                      Index j, Index head_dim, float scale, float gate, bool use_gate,
-                      OnlineSoftmaxRow& osr, float* GPA_RESTRICT acc,
-                      const simd::VecOps& vo) {
-  fold_edge_rows(qi, k_mat.row(j), v_mat.row(j), head_dim, scale, gate, use_gate, osr, acc, vo);
-}
+extern template void fold_tile(EdgeTile<float, float>&);
+extern template void fold_tile(EdgeTile<half_t, half_t>&);
+extern template void fold_tile(EdgeTile<float, half_t>&);
 
 /// The row-parallel driver. `row_enum(i, edge)` must call
 /// `edge(j, gate)` for every neighbor j of row i (gate is the mask value
@@ -136,14 +129,12 @@ void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
   const simd::VecOps& vo = simd::ops(opts.policy.simd);  // resolved once per call
 
   parallel_for(0, seq_len, opts.policy, [&](Index i) {
-    const T* qi = q.row(i);
-    float* acc = state.acc_row(i);
-    OnlineSoftmaxRow osr{state.m(i), state.l(i)};
-    row_enum(i, [&](Index j, float gate) {
-      fold_edge(qi, k, v, j, head_dim, scale, gate, use_gate, osr, acc, vo);
-    });
-    state.m(i) = osr.m;
-    state.l(i) = osr.l;
+    EdgeTile<T> tile(q.row(i), state.acc_row(i), {state.m(i), state.l(i)}, head_dim, scale,
+                     use_gate, vo);
+    row_enum(i, [&](Index j, float gate) { tile.add(k.row(j), v.row(j), gate); });
+    tile.flush();
+    state.m(i) = tile.osr.m;
+    state.l(i) = tile.osr.l;
   });
 }
 

@@ -1,5 +1,6 @@
 #include "core/traversal.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/fnv1a.hpp"
@@ -71,6 +72,45 @@ MaskTraversal MaskTraversal::over(const Coo<float>& mask, CooSearch search) {
   t.coo_ = &mask;
   t.coo_search_ = search;
   return t;
+}
+
+namespace {
+/// Entries of a sorted column run [first, last), cut at i under causal.
+Index sorted_run_degree(const std::vector<Index>& cols, Index first, Index last, Index i,
+                        bool causal) {
+  if (!causal) return last - first;
+  const auto begin = cols.begin() + first;
+  return static_cast<Index>(std::upper_bound(begin, cols.begin() + last, i) - begin);
+}
+}  // namespace
+
+Index MaskTraversal::row_degree(Index i, Index seq_len, bool causal) const {
+  // Under causal the forward extent is invisible, so the local and
+  // dilated-1D causal slices are their full rows at length i + 1.
+  const Index len = causal ? i + 1 : seq_len;
+  switch (kind_) {
+    case Kind::Csr:
+      return sorted_run_degree(csr_->col_idx, csr_->row_begin(i), csr_->row_end(i), i, causal);
+    case Kind::Coo: {
+      const CooRowBounds b = coo_row_bounds_binary(*coo_, i);
+      return sorted_run_degree(coo_->col_idx, b.first, b.last, i, causal);
+    }
+    case Kind::Local: return local_degree(i, len, local_);
+    case Kind::Dilated1d: return dilated1d_degree(i, len, dilated_);
+    case Kind::Dilated2d: break;
+    case Kind::Global: {
+      if (!causal) return global_minus_local_degree(i, seq_len, global_);
+      // The causal cut keeps the columns below the window: all of them
+      // on a global row, else the tokens below it.
+      const Index win_lo = i - (global_.local.window - 1);
+      if (global_.global.is_global(i)) return std::max<Index>(0, win_lo);
+      const std::vector<Index>& t = global_.global.tokens;
+      return static_cast<Index>(std::lower_bound(t.begin(), t.end(), win_lo) - t.begin());
+    }
+  }
+  Index n = 0;
+  for_each_edge(i, seq_len, causal, [&](Index, float) { ++n; });
+  return n;
 }
 
 std::vector<Index> MaskTraversal::degrees(Index seq_len, bool causal) const {

@@ -242,12 +242,11 @@ class MaskTraversal {
     for_each_edge(i, i + 1, /*causal=*/true, edge);
   }
 
-  /// Edges of row i (degree), counted through the same enumeration.
-  Index row_degree(Index i, Index seq_len, bool causal) const {
-    Index n = 0;
-    for_each_edge(i, seq_len, causal, [&](Index, float) { ++n; });
-    return n;
-  }
+  /// Edges of row i (degree): the count of what for_each_edge visits,
+  /// in closed form — row offsets (upper_bound under causal) for the
+  /// explicit formats, clamp arithmetic and token binary searches for
+  /// the implicit ones. Dilated-2D counts its O(group) enumeration.
+  Index row_degree(Index i, Index seq_len, bool causal) const;
 
   /// Per-row degrees over a sequence — feed to degree_stats() for the
   /// min/mean/max/imbalance skew profile that picks schedule defaults.
@@ -259,8 +258,8 @@ class MaskTraversal {
   /// Resolve a Schedule::Auto policy from this traversal's skew profile
   /// at seq_len (see parallel/auto_tune.hpp for the decision rule);
   /// non-Auto policies pass through untouched. The stats sweep is one
-  /// edge count — O(nnz) with no flops, ~1/head_dim of the kernel's
-  /// fold work — paid only when auto-tuning was requested.
+  /// row_degree per row — O(L) except for dilated-2D — paid only when
+  /// auto-tuning was requested.
   ExecPolicy resolved_policy(const ExecPolicy& p, Index seq_len, bool causal) const;
 
   /// Structural fingerprint: two traversals fingerprint equally iff

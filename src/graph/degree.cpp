@@ -35,37 +35,39 @@ std::vector<Index> csr_degrees(const Csr<float>& mask) {
   return d;
 }
 
-namespace {
-template <typename EnumFn>
-std::vector<Index> count_rows(Index seq_len, EnumFn&& enumerate) {
-  std::vector<Index> d(static_cast<std::size_t>(seq_len), 0);
+std::vector<Index> local_degrees(Index seq_len, const LocalParams& p) {
+  std::vector<Index> d(static_cast<std::size_t>(seq_len));
   for (Index i = 0; i < seq_len; ++i) {
+    d[static_cast<std::size_t>(i)] = local_degree(i, seq_len, p);
+  }
+  return d;
+}
+
+std::vector<Index> dilated1d_degrees(Index seq_len, const Dilated1DParams& p) {
+  std::vector<Index> d(static_cast<std::size_t>(seq_len));
+  for (Index i = 0; i < seq_len; ++i) {
+    d[static_cast<std::size_t>(i)] = dilated1d_degree(i, seq_len, p);
+  }
+  return d;
+}
+
+std::vector<Index> dilated2d_degrees(const Dilated2DParams& p) {
+  std::vector<Index> d(static_cast<std::size_t>(p.seq_len));
+  for (Index i = 0; i < p.seq_len; ++i) {
     Index count = 0;
-    enumerate(i, [&](Index) { ++count; });
+    dilated2d_neighbors(i, p, [&](Index) { ++count; });
     d[static_cast<std::size_t>(i)] = count;
   }
   return d;
 }
-}  // namespace
-
-std::vector<Index> local_degrees(Index seq_len, const LocalParams& p) {
-  return count_rows(seq_len,
-                    [&](Index i, auto&& fn) { local_neighbors(i, seq_len, p, fn); });
-}
-
-std::vector<Index> dilated1d_degrees(Index seq_len, const Dilated1DParams& p) {
-  return count_rows(seq_len,
-                    [&](Index i, auto&& fn) { dilated1d_neighbors(i, seq_len, p, fn); });
-}
-
-std::vector<Index> dilated2d_degrees(const Dilated2DParams& p) {
-  return count_rows(p.seq_len, [&](Index i, auto&& fn) { dilated2d_neighbors(i, p, fn); });
-}
 
 std::vector<Index> global_minus_local_degrees(Index seq_len,
                                               const GlobalMinusLocalParams& p) {
-  return count_rows(
-      seq_len, [&](Index i, auto&& fn) { global_minus_local_neighbors(i, seq_len, p, fn); });
+  std::vector<Index> d(static_cast<std::size_t>(seq_len));
+  for (Index i = 0; i < seq_len; ++i) {
+    d[static_cast<std::size_t>(i)] = global_minus_local_degree(i, seq_len, p);
+  }
+  return d;
 }
 
 }  // namespace gpa

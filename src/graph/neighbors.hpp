@@ -26,6 +26,13 @@ inline void local_neighbors(Index i, Index seq_len, const LocalParams& p, Fn&& v
   for (Index j = lo; j <= hi; ++j) visit(j);
 }
 
+/// Degree of row i under local_neighbors, in closed form.
+inline Index local_degree(Index i, Index seq_len, const LocalParams& p) {
+  const Index lo = std::max<Index>(0, i - (p.window - 1));
+  const Index hi = std::min<Index>(seq_len - 1, i + (p.window - 1));
+  return std::max<Index>(0, hi - lo + 1);
+}
+
 /// 1D dilation: distances 0, (r+1), 2(r+1), ... below w, both sides.
 template <typename Fn>
 inline void dilated1d_neighbors(Index i, Index seq_len, const Dilated1DParams& p, Fn&& visit) {
@@ -38,6 +45,16 @@ inline void dilated1d_neighbors(Index i, Index seq_len, const Dilated1DParams& p
   for (Index d = step; d <= max_d; d += step) {
     if (i + d < seq_len) visit(i + d);
   }
+}
+
+/// Degree of row i under dilated1d_neighbors, in closed form: the
+/// backward strides that stay >= 0, self, and the forward strides that
+/// stay below seq_len.
+inline Index dilated1d_degree(Index i, Index seq_len, const Dilated1DParams& p) {
+  const Index step = p.dilation + 1;
+  const Index strides = (p.window - 1) / step;
+  return std::min(strides, i / step) + 1 +
+         std::min(strides, std::max<Index>(0, seq_len - 1 - i) / step);
 }
 
 /// 2D dilation (paper-verbatim predicate; see Dilated2DParams).
@@ -72,6 +89,22 @@ inline void global_minus_local_neighbors(Index i, Index seq_len,
       if (j < win_lo || j > win_hi) visit(j);
     }
   }
+}
+
+/// Degree of row i under global_minus_local_neighbors, in closed form:
+/// the clamped columns outside the window for a global row, else binary
+/// searches over the sorted tokens.
+inline Index global_minus_local_degree(Index i, Index seq_len,
+                                       const GlobalMinusLocalParams& p) {
+  const Index win_lo = i - (p.local.window - 1);
+  const Index win_hi = i + (p.local.window - 1);
+  if (p.global.is_global(i)) {
+    return std::clamp<Index>(win_lo, 0, seq_len) +
+           (seq_len - std::clamp<Index>(win_hi + 1, 0, seq_len));
+  }
+  const std::vector<Index>& t = p.global.tokens;
+  return static_cast<Index>((std::lower_bound(t.begin(), t.end(), win_lo) - t.begin()) +
+                            (t.end() - std::upper_bound(t.begin(), t.end(), win_hi)));
 }
 
 /// Explicit CSR row: direct offset lookup (O(1) row location).

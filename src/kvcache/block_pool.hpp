@@ -6,8 +6,8 @@
 // (page-contiguously) by its V row, both `head_dim` elements, so a
 // decode fold reads each neighbor's K and V as contiguous spans — the
 // same access shape as Matrix::row(), which is what lets the shared
-// fold_edge_rows (and with it every SIMD dispatch arm) run unchanged
-// over paged storage.
+// tile fold (detail::EdgeTile, and with it every SIMD dispatch arm) run
+// unchanged over paged storage.
 //
 // STORAGE DTYPE. The arena is fp32 or fp16, chosen at construction
 // (BlockPoolConfig::dtype). fp16 pages halve bytes-per-token, which the

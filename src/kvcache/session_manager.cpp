@@ -371,17 +371,21 @@ Index SessionManager::decode_step(std::uint64_t id, const float* q_new, const fl
     // Half-width pages: K/V widen on load through the vectorized fp16
     // fold — output differs from an fp32-page session only by the
     // storage quantisation of the cached rows.
+    detail::EdgeTile<float, half_t> tile(q_new, acc, osr, d, scale, use_gate, vo);
     s->mask.for_each_causal(t, [&](Index j, float gate) {
-      detail::fold_edge_rows_fh(q_new, s->table.k_row_h(pool_, j), s->table.v_row_h(pool_, j),
-                                d, scale, gate, use_gate, osr, acc, vo);
+      tile.add(s->table.k_row_h(pool_, j), s->table.v_row_h(pool_, j), gate);
       ++edges;
     });
+    tile.flush();
+    osr = tile.osr;
   } else {
+    detail::EdgeTile<float> tile(q_new, acc, osr, d, scale, use_gate, vo);
     s->mask.for_each_causal(t, [&](Index j, float gate) {
-      detail::fold_edge_rows(q_new, s->table.k_row(pool_, j), s->table.v_row(pool_, j), d, scale,
-                             gate, use_gate, osr, acc, vo);
+      tile.add(s->table.k_row(pool_, j), s->table.v_row(pool_, j), gate);
       ++edges;
     });
+    tile.flush();
+    osr = tile.osr;
   }
 
   // Same normalisation expression as SoftmaxState::finalize_into, so a

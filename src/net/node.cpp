@@ -6,7 +6,6 @@
 #include "core/kernel_common.hpp"
 #include "core/traversal.hpp"
 #include "obs/trace.hpp"
-#include "tensor/softmax.hpp"
 
 namespace gpa::net {
 
@@ -389,16 +388,16 @@ void NodeService::fold_shard(Ring& g, Index idx, const Matrix<float>& ks,
   const simd::VecOps& vo = simd::ops(ExecPolicy{}.simd);
   for (Index i = g.row_lo; i < g.row_hi; ++i) {
     const Index li = i - g.row_lo;
-    const float* qi = g.q.row(li);
-    float* acc = g.state.acc_row(li);
-    OnlineSoftmaxRow osr{g.state.m(li), g.state.l(li)};
+    gpa::detail::EdgeTile<float> tile(g.q.row(li), g.state.acc_row(li),
+                                      {g.state.m(li), g.state.l(li)}, g.head_dim, g.scale,
+                                      false, vo);
     tr.for_each_edge_in_cols(i, g.seq_len, g.causal, col_lo, col_hi, [&](Index j, float) {
-      gpa::detail::fold_edge_rows(qi, ks.row(j - col_lo), vs.row(j - col_lo), g.head_dim,
-                                  g.scale, 1.0f, false, osr, acc, vo);
+      tile.add(ks.row(j - col_lo), vs.row(j - col_lo), 1.0f);
       ++g.edges;
     });
-    g.state.m(li) = osr.m;
-    g.state.l(li) = osr.l;
+    tile.flush();
+    g.state.m(li) = tile.osr.m;
+    g.state.l(li) = tile.osr.l;
   }
 }
 

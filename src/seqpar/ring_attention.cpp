@@ -6,7 +6,6 @@
 #include "core/kernel_common.hpp"
 #include "core/state.hpp"
 #include "core/traversal.hpp"
-#include "tensor/softmax.hpp"
 
 namespace gpa::seqpar {
 
@@ -63,15 +62,15 @@ RingReport ring_csr_attention(const Matrix<float>& q, const Matrix<float>& k,
       const Index row_hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
 
       for (Index i = row_lo; i < row_hi; ++i) {
-        const float* qi = q.row(i);
-        float* acc = state.acc_row(i);
-        OnlineSoftmaxRow osr{state.m(i), state.l(i)};
+        gpa::detail::EdgeTile<float> tile(q.row(i), state.acc_row(i), {state.m(i), state.l(i)},
+                                          d, scale, false, vo);
         tr.for_each_edge_in_cols(i, L, opts.causal, col_lo, col_hi, [&](Index j, float) {
-          gpa::detail::fold_edge(qi, k, v, j, d, scale, 1.0f, false, osr, acc, vo);
+          tile.add(k.row(j), v.row(j), 1.0f);
           ++step_edges;
         });
-        state.m(i) = osr.m;
-        state.l(i) = osr.l;
+        tile.flush();
+        state.m(i) = tile.osr.m;
+        state.l(i) = tile.osr.l;
       }
     }
     report.edges_per_step[static_cast<std::size_t>(s)] = step_edges;

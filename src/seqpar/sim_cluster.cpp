@@ -48,15 +48,15 @@ ClusterReport distributed_csr_attention(const Matrix<float>& q, const Matrix<flo
       Size edges = 0;
       std::vector<float> acc(static_cast<std::size_t>(d));
       for (Index i = lo; i < hi; ++i) {
-        const float* qi = q.row(i);
-        OnlineSoftmaxRow osr;
         for (Index x = 0; x < d; ++x) acc[static_cast<std::size_t>(x)] = 0.0f;
+        gpa::detail::EdgeTile<float> tile(q.row(i), acc.data(), {}, d, scale,
+                                          opts.use_mask_values, vo);
         tr.for_each_edge(i, L, opts.causal, [&](Index j, float gate) {
-          gpa::detail::fold_edge(qi, k, v, j, d, scale, gate, opts.use_mask_values, osr,
-                                 acc.data(), vo);
+          tile.add(k.row(j), v.row(j), gate);
           ++edges;
         });
-        const float inv = osr.inv_l();
+        tile.flush();
+        const float inv = tile.osr.inv_l();
         float* oi = out.row(i);
         for (Index x = 0; x < d; ++x) oi[x] = acc[static_cast<std::size_t>(x)] * inv;
       }

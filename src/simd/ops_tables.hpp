@@ -6,6 +6,27 @@
 
 namespace gpa::simd::detail {
 
+/// The tile ops of an arm that does not specialise them: its own `dot`,
+/// `axpy` and `axpby`, one row at a time — which is their contract.
+template <float (*Dot)(const float*, const float*, Index) noexcept>
+void dot_rows_by_row(const float* q, const float* const* rows, Index count, Index n,
+                     float* out) noexcept {
+  for (Index b = 0; b < count; ++b) out[b] = Dot(q, rows[b], n);
+}
+
+template <void (*Axpy)(float*, float, const float*, Index) noexcept,
+          void (*Axpby)(float*, float, float, const float*, Index) noexcept>
+void fold_rows_by_row(float* acc, const float* alpha, const float* beta,
+                      const float* const* rows, Index count, Index n) noexcept {
+  for (Index b = 0; b < count; ++b) {
+    if (alpha[b] == 1.0f) {
+      Axpy(acc, beta[b], rows[b], n);
+    } else {
+      Axpby(acc, alpha[b], beta[b], rows[b], n);
+    }
+  }
+}
+
 /// Portable scalar reference arm (simd_scalar.cpp — compiled with
 /// auto-vectorization off so the differential baseline is honest).
 extern const VecOps kScalarOps;

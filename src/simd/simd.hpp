@@ -3,8 +3,15 @@
 //
 // Every hot kernel reduces to four row operations: a Q·K dot product, the
 // online-softmax accumulator update acc = alpha*acc + beta*v, a rescale,
-// and the max/sum reductions of the softmax passes. This layer provides
-// those primitives behind a function-pointer table with four arms:
+// and the max/sum reductions of the softmax passes. Two tile operations
+// batch the first two over up to kTileRows K/V rows of one query row:
+// dot_rows (the tile's Q·K dots) and fold_rows (the tile's ordered
+// accumulator updates). Their contract is bit for bit: on every arm,
+// dot_rows equals `dot` row by row, and fold_rows equals the sequence of
+// `axpy` (alpha == 1) / `axpby` (otherwise) calls it replaces. A tile
+// changes how much work one call does, never a rounding. This layer
+// provides those primitives behind a function-pointer table with four
+// arms:
 //
 //  * scalar   — the always-compiled portable reference (compiled with
 //    auto-vectorization disabled so "scalar" means scalar),
@@ -59,6 +66,10 @@
 
 namespace gpa::simd {
 
+/// Most rows one dot_rows / fold_rows call takes: one avx512 transposed
+/// reduction turns sixteen dot accumulators into sixteen scores.
+inline constexpr Index kTileRows = 16;
+
 /// The dispatch table. All pointers are non-null for every arm.
 /// Reductions over n == 0 return the operation identity (0 for sum/dot,
 /// -inf for max). NaN propagation in reduce_max follows x86 MAXPS
@@ -76,6 +87,14 @@ struct VecOps {
   float (*reduce_max)(const float* x, Index n) noexcept;
   /// Σ x[i] under the lane contract.
   float (*reduce_sum)(const float* x, Index n) noexcept;
+  /// out[b] = dot(q, rows[b], n) bit for bit, for b < count <= kTileRows.
+  void (*dot_rows)(const float* q, const float* const* rows, Index count, Index n,
+                   float* out) noexcept;
+  /// For b = 0..count-1 in order (count <= kTileRows): axpy(acc, beta[b],
+  /// rows[b], n) when alpha[b] == 1, else axpby(acc, alpha[b], beta[b],
+  /// rows[b], n) — bit for bit; the two updates round differently.
+  void (*fold_rows)(float* acc, const float* alpha, const float* beta,
+                    const float* const* rows, Index count, Index n) noexcept;
 
   // --- fp16 storage ops (widen to float, compute in fp32) ------------
   /// Σ widen(a[i])·widen(b[i]) — the half-instantiation Q·K dot.

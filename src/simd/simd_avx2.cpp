@@ -256,6 +256,7 @@ void f2h(half_t* dst, const float* src, Index n) noexcept {
 }  // namespace
 
 const VecOps kAvx2Ops = {dot,   axpby,  axpy,    scale,  reduce_max, reduce_sum,
+                         dot_rows_by_row<dot>, fold_rows_by_row<axpy, axpby>,
                          dot_h, dot_fh, axpby_h, axpy_h, h2f,        f2h};
 
 }  // namespace gpa::simd::detail

@@ -11,6 +11,13 @@
 // zero-padded stack block (VCVTPH2PS has no masked form on the __m256i
 // source). Dead lanes hold the op identity: +0.0f for sums and dots,
 // -inf for max.
+//
+// Every sum reduction ends in one written-out tree (reduce_add16), the
+// order GCC 12's _mm512_reduce_add_ps uses: high + low 256-bit halves,
+// high + low 128-bit quarters, [0]+[2] and [1]+[3], then [0]+[1]. The
+// tile op dot_rows runs the same tree on sixteen rows at once
+// (reduce_add16x16), so a batched score equals `dot`'s bit for bit
+// whatever a compiler's own reduce intrinsic does.
 
 #if !defined(GPA_SIMD_AVX512)
 #error "simd_avx512.cpp must only be compiled when GPA_SIMD_AVX512 is defined"
@@ -47,6 +54,49 @@ inline __m512 load_h_tail(const half_t* p, Index r) noexcept {
   return _mm512_cvtph_ps(_mm256_load_si256(reinterpret_cast<const __m256i*>(buf)));
 }
 
+/// Σ lanes of s in the fixed tree described at the top of this file.
+inline float reduce_add16(__m512 s) noexcept {
+  const __m256 hi = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(s), 1));
+  const __m256 t3 = _mm256_add_ps(hi, _mm512_castps512_ps256(s));
+  const __m128 t6 = _mm_add_ps(_mm256_extractf128_ps(t3, 1), _mm256_castps256_ps128(t3));
+  const __m128 t8 = _mm_add_ps(t6, _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(_mm_add_ss(t8, _mm_shuffle_ps(t8, t8, _MM_SHUFFLE(1, 1, 1, 1))));
+}
+
+/// Lane b of the result is reduce_add16(s[b]): each tree level does the
+/// same adds on the same operands, for sixteen rows per instruction.
+inline __m512 reduce_add16x16(const __m512* s) noexcept {
+  // Halves: rows j and 4+j share z[j], rows 8+j and 12+j share z[4+j]
+  // (the low 256 bits hold the first row's high + low halves).
+  const auto halves = [](__m512 a, __m512 b) {
+    return _mm512_add_ps(_mm512_shuffle_f32x4(a, b, _MM_SHUFFLE(3, 2, 3, 2)),
+                         _mm512_shuffle_f32x4(a, b, _MM_SHUFFLE(1, 0, 1, 0)));
+  };
+  __m512 z[8];
+#pragma GCC unroll 4
+  for (int j = 0; j < 4; ++j) {
+    z[j] = halves(s[j], s[4 + j]);
+    z[4 + j] = halves(s[8 + j], s[12 + j]);
+  }
+  // Quarters: 128-bit chunk c of w[j] holds row 4c + j.
+  __m512 w[4];
+#pragma GCC unroll 4
+  for (int j = 0; j < 4; ++j) {
+    w[j] = _mm512_add_ps(_mm512_shuffle_f32x4(z[j], z[4 + j], _MM_SHUFFLE(3, 1, 3, 1)),
+                         _mm512_shuffle_f32x4(z[j], z[4 + j], _MM_SHUFFLE(2, 0, 2, 0)));
+  }
+  // [0]+[2] and [1]+[3] within each chunk, two w's per vector ...
+  const auto pairs = [](__m512 a, __m512 b) {
+    return _mm512_add_ps(_mm512_shuffle_ps(a, b, _MM_SHUFFLE(1, 0, 1, 0)),
+                         _mm512_shuffle_ps(a, b, _MM_SHUFFLE(3, 2, 3, 2)));
+  };
+  const __m512 p = pairs(w[0], w[1]);
+  const __m512 r = pairs(w[2], w[3]);
+  // ... then [0]+[1]: lane j of chunk c comes from w[j], i.e. row 4c + j.
+  return _mm512_add_ps(_mm512_shuffle_ps(p, r, _MM_SHUFFLE(2, 0, 2, 0)),
+                       _mm512_shuffle_ps(p, r, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
 float dot(const float* a, const float* b, Index n) noexcept {
   __m512 s = _mm512_setzero_ps();
   Index base = 0;
@@ -59,7 +109,7 @@ float dot(const float* a, const float* b, Index n) noexcept {
     const __m512 bv = _mm512_maskz_loadu_ps(m, b + base);
     s = _mm512_fmadd_ps(av, bv, s);  // dead lanes contribute fma(0,0,s) = s
   }
-  return _mm512_reduce_add_ps(s);
+  return reduce_add16(s);
 }
 
 void axpby(float* acc, float alpha, float beta, const float* v, Index n) noexcept {
@@ -131,7 +181,85 @@ float reduce_sum(const float* x, Index n) noexcept {
   if (base < n) {
     s = _mm512_add_ps(s, _mm512_maskz_loadu_ps(tail_mask(n - base), x + base));
   }
-  return _mm512_reduce_add_ps(s);
+  return reduce_add16(s);
+}
+
+/// Mask of the 16-column block at `base`: all lanes, or the tail's.
+inline __mmask16 block_mask(Index base, Index n) noexcept {
+  return n - base >= kLanes ? __mmask16{0xFFFF} : tail_mask(n - base);
+}
+
+void dot_rows(const float* q, const float* const* rows, Index count, Index n,
+              float* out) noexcept {
+  if (count <= 0) return;
+  // A short tile repeats row 0 in its spare lanes; their sums are never
+  // stored.
+  const float* padded[kTileRows];
+  if (count < kTileRows) {
+    for (Index b = 0; b < kTileRows; ++b) padded[b] = rows[b < count ? b : 0];
+    rows = padded;
+  }
+  __m512 s[kTileRows];
+#pragma GCC unroll 16
+  for (Index b = 0; b < kTileRows; ++b) s[b] = _mm512_setzero_ps();
+  // One loop over full and tail blocks: dead tail lanes load +0.0f and
+  // add fma(0, 0, s) = s, as in `dot`.
+  for (Index base = 0; base < n; base += kLanes) {
+    const __mmask16 m = block_mask(base, n);
+    const __m512 qv = _mm512_maskz_loadu_ps(m, q + base);
+#pragma GCC unroll 16
+    for (Index b = 0; b < kTileRows; ++b) {
+      s[b] = _mm512_fmadd_ps(qv, _mm512_maskz_loadu_ps(m, rows[b] + base), s[b]);
+    }
+  }
+  _mm512_mask_storeu_ps(out, tail_mask(count), reduce_add16x16(s));
+}
+
+/// fold_rows over kBlocks consecutive 16-column blocks of acc from
+/// `base` (the last one masked by `last`), each kept in a register
+/// across the tile.
+template <int kBlocks>
+inline void fold_blocks(float* acc, const float* alpha, const float* beta,
+                        const float* const* rows, Index count, Index base,
+                        __mmask16 last) noexcept {
+  const auto mask = [last](int c) { return c + 1 < kBlocks ? __mmask16{0xFFFF} : last; };
+  __m512 a[kBlocks];
+  for (int c = 0; c < kBlocks; ++c) {
+    a[c] = _mm512_maskz_loadu_ps(mask(c), acc + base + c * kLanes);
+  }
+  for (Index b = 0; b < count; ++b) {
+    const float* v = rows[b] + base;
+    const __m512 vb = _mm512_set1_ps(beta[b]);
+    if (alpha[b] == 1.0f) {  // axpy's update
+      for (int c = 0; c < kBlocks; ++c) {
+        a[c] = _mm512_fmadd_ps(vb, _mm512_maskz_loadu_ps(mask(c), v + c * kLanes), a[c]);
+      }
+    } else {  // axpby's update
+      const __m512 va = _mm512_set1_ps(alpha[b]);
+      for (int c = 0; c < kBlocks; ++c) {
+        const __m512 vv = _mm512_maskz_loadu_ps(mask(c), v + c * kLanes);
+        a[c] = _mm512_fmadd_ps(a[c], va, _mm512_mul_ps(vb, vv));
+      }
+    }
+  }
+  for (int c = 0; c < kBlocks; ++c) {
+    _mm512_mask_storeu_ps(acc + base + c * kLanes, mask(c), a[c]);
+  }
+}
+
+void fold_rows(float* acc, const float* alpha, const float* beta, const float* const* rows,
+               Index count, Index n) noexcept {
+  // Column blocks outside, rows inside: acc is loaded and stored once
+  // per tile, and every lane still sees axpy's or axpby's update, row
+  // by row in order. Four blocks (64 columns) at a time, so four FMA
+  // chains overlap, then one block at a time.
+  Index base = 0;
+  for (; n - base > 3 * kLanes; base += 4 * kLanes) {
+    fold_blocks<4>(acc, alpha, beta, rows, count, base, block_mask(base + 3 * kLanes, n));
+  }
+  for (; base < n; base += kLanes) {
+    fold_blocks<1>(acc, alpha, beta, rows, count, base, block_mask(base, n));
+  }
 }
 
 float dot_h(const half_t* a, const half_t* b, Index n) noexcept {
@@ -144,7 +272,7 @@ float dot_h(const half_t* a, const half_t* b, Index n) noexcept {
     const Index r = n - base;
     s = _mm512_fmadd_ps(load_h_tail(a + base, r), load_h_tail(b + base, r), s);
   }
-  return _mm512_reduce_add_ps(s);
+  return reduce_add16(s);
 }
 
 float dot_fh(const float* a, const half_t* b, Index n) noexcept {
@@ -158,7 +286,7 @@ float dot_fh(const float* a, const half_t* b, Index n) noexcept {
     const __m512 av = _mm512_maskz_loadu_ps(tail_mask(r), a + base);
     s = _mm512_fmadd_ps(av, load_h_tail(b + base, r), s);
   }
-  return _mm512_reduce_add_ps(s);
+  return reduce_add16(s);
 }
 
 void axpby_h(float* acc, float alpha, float beta, const half_t* v, Index n) noexcept {
@@ -226,6 +354,7 @@ void f2h(half_t* dst, const float* src, Index n) noexcept {
 }  // namespace
 
 const VecOps kAvx512Ops = {dot,   axpby,  axpy,    scale,  reduce_max, reduce_sum,
+                           dot_rows, fold_rows,
                            dot_h, dot_fh, axpby_h, axpy_h, h2f,        f2h};
 
 }  // namespace gpa::simd::detail

@@ -41,16 +41,44 @@ struct OnlineSoftmaxRow {
     float beta;
   };
   Coeffs push(float score) noexcept {
-    if (score == -std::numeric_limits<float>::infinity() &&
-        m == -std::numeric_limits<float>::infinity()) {
-      return {1.0f, 0.0f};  // avoid exp(-inf - -inf) = NaN on a still-empty row
+    Coeffs c;
+    push_each(&score, 1, &c.alpha, &c.beta);
+    return c;
+  }
+
+  /// Folds scores[0..n) in order, writing each score's (alpha, beta):
+  /// bit for bit n successive push calls. Per score, with m the running
+  /// max before it:
+  ///   m_new = max(m, score), alpha = exp(m - m_new), beta = exp(score -
+  ///   m_new), l = l·alpha + beta, m = m_new
+  /// except that a -inf score on a still-empty row (m == -inf) changes
+  /// nothing and gets (1, 0) — exp(-inf - -inf) would be NaN. exp(±0) is
+  /// exactly 1, so an unmoved max skips that call; a NaN or infinite
+  /// difference still goes through exp (exp(-inf - m_new) == 0 handles
+  /// the first edge). The exps come first, with the max re-derived score
+  /// by score, so they do not wait on one another; l then follows in
+  /// score order.
+  void push_each(const float* scores, Index n, float* alpha, float* beta) noexcept {
+    constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+    float run_m = m;
+    for (Index b = 0; b < n; ++b) {
+      const float s = scores[b];
+      const float m_new = s > run_m ? s : run_m;
+      if (s == kNegInf && run_m == kNegInf) {
+        alpha[b] = 1.0f;
+        beta[b] = 0.0f;
+      } else {
+        const float dm = run_m - m_new;
+        alpha[b] = dm == 0.0f ? 1.0f : std::exp(dm);
+        beta[b] = std::exp(s - m_new);
+      }
+      run_m = m_new;
     }
-    const float m_new = score > m ? score : m;
-    const float alpha = std::exp(m - m_new);  // exp(-inf - m_new) == 0 handles the first edge
-    const float beta = std::exp(score - m_new);
-    l = l * alpha + beta;
-    m = m_new;
-    return {alpha, beta};
+    for (Index b = 0; b < n; ++b) {
+      const float s = scores[b];
+      if (!(s == kNegInf && m == kNegInf)) l = l * alpha[b] + beta[b];
+      m = s > m ? s : m;
+    }
   }
 
   /// Normaliser to apply to the accumulator at the end (0 for an empty

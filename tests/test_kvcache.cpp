@@ -157,9 +157,13 @@ struct IdentityCase {
 };
 
 std::vector<IdentityCase> identity_cases(Index n) {
+  // From n = 64 on, rows carry 40+ edges, so decode and the full kernel
+  // fold whole sixteen-edge tiles, cut at different boundaries.
+  const bool wide = n >= 64;
   std::vector<IdentityCase> cases;
   {
-    auto mask = std::make_shared<const Csr<float>>(build_csr_random(n, RandomParams{0.25, 9}));
+    auto mask = std::make_shared<const Csr<float>>(
+        build_csr_random(n, RandomParams{wide ? 0.5 : 0.25, 9}));
     cases.push_back({"csr", MaskSpec::make_csr(mask),
                      [mask](const auto& q, const auto& k, const auto& v, auto& o) {
                        AttentionOptions opts;
@@ -168,7 +172,7 @@ std::vector<IdentityCase> identity_cases(Index n) {
                      }});
   }
   {
-    const LocalParams p{5};
+    const LocalParams p{wide ? 48 : 5};
     cases.push_back({"local", MaskSpec::make_local(p),
                      [p](const auto& q, const auto& k, const auto& v, auto& o) {
                        AttentionOptions opts;
@@ -191,10 +195,10 @@ std::vector<IdentityCase> identity_cases(Index n) {
     // Chained mask (longformer serving scenario): local ∘ global folds
     // both components' causal slices into one row state per decode
     // step; the full arm is the equivalent two-kernel accumulate chain.
-    const LocalParams lp{3};
+    const LocalParams lp{wide ? 40 : 3};
     GlobalMinusLocalParams gp;
     gp.global.tokens = {0, 2, 7};
-    gp.local.window = 3;
+    gp.local.window = lp.window;
     cases.push_back(
         {"local∘global",
          MaskSpec::compose({MaskTraversal::local(lp), MaskTraversal::global(gp)}),
@@ -264,11 +268,13 @@ void check_decode_identity(Index n, Index d, Index prefill_len) {
 
 TEST(DecodeBitIdentity, PrefillPlusDecodeMatchesFullKernel) {
   for (const Index d : {32, 64, 67}) check_decode_identity(24, d, 12);
+  check_decode_identity(96, 64, 41);
 }
 
 TEST(DecodeBitIdentity, PureDecodeStreamMatchesFullKernel) {
   // No prefill at all: the whole sequence arrives token by token.
   for (const Index d : {32, 64, 67}) check_decode_identity(16, d, 0);
+  check_decode_identity(96, 64, 0);
 }
 
 /// A composed (local ∘ global) decode session's token stream must be

@@ -524,50 +524,60 @@ TEST(HashRing, SpreadsKeysAcrossNodes) {
 // Differential gates over loopback
 
 TEST(Cluster, RingPrefillBitIdenticalToSimCluster) {
-  const Index L = 96, d = 16;
-  const auto mask = build_csr_random(L, RandomParams{0.15, 99});
-  Rng rng(21);
-  Matrix<float> q(L, d), k(L, d), v(L, d);
-  fill_uniform(q, rng);
-  fill_uniform(k, rng);
-  fill_uniform(v, rng);
+  struct Shape {
+    Index L, d;
+    double density;
+  };
+  // The second shape gives rows ~77 edges at d = 64: each node folds
+  // whole sixteen-edge tiles cut at its shard boundaries, against
+  // sim_cluster's tiles over whole rows.
+  for (const Shape& sh : {Shape{96, 16, 0.15}, Shape{256, 64, 0.3}}) {
+    const Index L = sh.L, d = sh.d;
+    const auto mask = build_csr_random(L, RandomParams{sh.density, 99});
+    Rng rng(21);
+    Matrix<float> q(L, d), k(L, d), v(L, d);
+    fill_uniform(q, rng);
+    fill_uniform(k, rng);
+    fill_uniform(v, rng);
 
-  const auto degrees = seqpar::degrees_of(mask);
-  std::vector<seqpar::Partition> parts;
-  for (const Index P : {2, 3}) parts.push_back(seqpar::partition_balanced_nnz(L, P, degrees));
-  // P=4 by hand, with an empty part: node 1 owns no rows, folds nothing
-  // and relays an empty shard at every step.
-  seqpar::Partition gap;
-  gap.boundaries = {0, 30, 30, 61, L};
-  for (std::size_t p = 0; p + 1 < gap.boundaries.size(); ++p) {
-    gap.work.push_back(static_cast<Size>(
-        std::accumulate(degrees.begin() + gap.boundaries[p],
-                        degrees.begin() + gap.boundaries[p + 1], Index{0})));
-  }
-  parts.push_back(gap);
+    const auto degrees = seqpar::degrees_of(mask);
+    std::vector<seqpar::Partition> parts;
+    for (const Index P : {2, 3}) parts.push_back(seqpar::partition_balanced_nnz(L, P, degrees));
+    // P=4 by hand, with an empty part: node 1 owns no rows, folds
+    // nothing and relays an empty shard at every step.
+    seqpar::Partition gap;
+    gap.boundaries = {0, 30, 30, 61, L};
+    for (std::size_t p = 0; p + 1 < gap.boundaries.size(); ++p) {
+      gap.work.push_back(static_cast<Size>(
+          std::accumulate(degrees.begin() + gap.boundaries[p],
+                          degrees.begin() + gap.boundaries[p + 1], Index{0})));
+    }
+    parts.push_back(gap);
 
-  for (const seqpar::Partition& part : parts) {
-    const Index P = part.parts();
-    // One client for both prefills: the second reuses the router's kept
-    // buffers and overwrites the first prefill's rows in `wire_out`.
-    LoopbackCluster cluster(P);
-    Matrix<float> wire_out;
-    for (const bool causal : {false, true}) {
-      const auto rep =
-          cluster.client.ring_prefill(q, k, v, mask, part, causal, -1.0f, wire_out);
-      EXPECT_EQ(rep.shard_deliveries, static_cast<Size>(P) * static_cast<Size>(P - 1));
+    for (const seqpar::Partition& part : parts) {
+      const Index P = part.parts();
+      // One client for both prefills: the second reuses the router's
+      // kept buffers and overwrites the first prefill's rows in
+      // `wire_out`.
+      LoopbackCluster cluster(P);
+      Matrix<float> wire_out;
+      for (const bool causal : {false, true}) {
+        const auto rep =
+            cluster.client.ring_prefill(q, k, v, mask, part, causal, -1.0f, wire_out);
+        EXPECT_EQ(rep.shard_deliveries, static_cast<Size>(P) * static_cast<Size>(P - 1));
 
-      Matrix<float> oracle(L, d);
-      AttentionOptions opts;
-      opts.causal = causal;
-      const auto sim = seqpar::distributed_csr_attention(q, k, v, mask, part, oracle, opts);
-      ASSERT_EQ(std::memcmp(wire_out.data(), oracle.data(), oracle.size_bytes()), 0)
-          << "P=" << P << " causal=" << causal;
+        Matrix<float> oracle(L, d);
+        AttentionOptions opts;
+        opts.causal = causal;
+        const auto sim = seqpar::distributed_csr_attention(q, k, v, mask, part, oracle, opts);
+        ASSERT_EQ(std::memcmp(wire_out.data(), oracle.data(), oracle.size_bytes()), 0)
+            << "L=" << L << " P=" << P << " causal=" << causal;
 
-      // Edge accounting matches the simulated cluster node for node.
-      ASSERT_EQ(rep.nodes.size(), sim.nodes.size());
-      for (std::size_t p = 0; p < sim.nodes.size(); ++p) {
-        EXPECT_EQ(rep.nodes[p].edges, sim.nodes[p].edges);
+        // Edge accounting matches the simulated cluster node for node.
+        ASSERT_EQ(rep.nodes.size(), sim.nodes.size());
+        for (std::size_t p = 0; p < sim.nodes.size(); ++p) {
+          EXPECT_EQ(rep.nodes[p].edges, sim.nodes[p].edges);
+        }
       }
     }
   }

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/flash_attention.hpp"
@@ -465,14 +466,262 @@ TEST(SimdPrimitives, RelaxedArmsAgreeOnDecisiveOverflow) {
   }
 }
 
+// --- Tile fold: EdgeTile against the edge-at-a-time fold -------------
+
+/// OnlineSoftmaxRow's update written plainly, one score at a time with
+/// both exps always taken — so the oracle also pins push_each's exp(0)
+/// skip and its split into an exp pass and an l pass.
+OnlineSoftmaxRow::Coeffs push_with_both_exps(OnlineSoftmaxRow& osr, float score) {
+  if (score == -kInf && osr.m == -kInf) return {1.0f, 0.0f};
+  const float m_new = score > osr.m ? score : osr.m;
+  const float alpha = std::exp(osr.m - m_new);
+  const float beta = std::exp(score - m_new);
+  osr.l = osr.l * alpha + beta;
+  osr.m = m_new;
+  return {alpha, beta};
+}
+
+/// The edge-at-a-time fold, the oracle EdgeTile must equal: one dot, one
+/// push and one accumulator update per edge. Q/KV as in EdgeTile.
+template <typename Q, typename KV>
+void fold_edge(const Q* qi, const KV* kj, const KV* vj, Index d, float scale, float gate,
+               bool use_gate, OnlineSoftmaxRow& osr, float* acc, const simd::VecOps& vo) {
+  float w;
+  if constexpr (std::is_same_v<KV, float>) {
+    w = vo.dot(qi, kj, d);
+  } else if constexpr (std::is_same_v<Q, float>) {
+    w = vo.dot_fh(qi, kj, d);
+  } else {
+    w = vo.dot_h(qi, kj, d);
+  }
+  w *= scale;
+  if (use_gate) w *= gate;
+  const auto [alpha, beta] = push_with_both_exps(osr, w);
+  if constexpr (std::is_same_v<KV, float>) {
+    if (alpha == 1.0f) {
+      vo.axpy(acc, beta, vj, d);
+    } else {
+      vo.axpby(acc, alpha, beta, vj, d);
+    }
+  } else {
+    if (alpha == 1.0f) {
+      vo.axpy_h(acc, beta, vj, d);
+    } else {
+      vo.axpby_h(acc, alpha, beta, vj, d);
+    }
+  }
+}
+
+/// Score shapes of one row: each drives the fold down a different path.
+enum class ScoreProfile {
+  Random,
+  Rising,
+  Equal,
+  LeadingNegInf,
+  LeadingPosInf,
+  LeadingNan,
+  Denormal
+};
+constexpr ScoreProfile kProfiles[] = {ScoreProfile::Random,        ScoreProfile::Rising,
+                                      ScoreProfile::Equal,         ScoreProfile::LeadingNegInf,
+                                      ScoreProfile::LeadingPosInf, ScoreProfile::LeadingNan,
+                                      ScoreProfile::Denormal};
+constexpr Index kMaxTileEdges = 100;
+
+/// One row's inputs: query, kMaxTileEdges K/V rows and gates, shaped by
+/// the profile. Rising makes every edge raise the running max (alpha <
+/// 1 everywhere); Equal repeats one K row and one gate, so alpha == 1
+/// after the first edge; the Leading* profiles put ±inf or NaN in the
+/// first K row, so the first score is that value; Denormal scales the
+/// scores into the subnormal range.
+struct TileRow {
+  std::vector<float> q, k, v, gate;
+  float scale;
+};
+
+TileRow make_tile_row(Index d, ScoreProfile profile, std::uint64_t seed) {
+  const auto n = static_cast<std::size_t>(d);
+  TileRow r;
+  r.q = random_buffer(d, seed, 1.0f);
+  r.k = random_buffer(kMaxTileEdges * d, seed + 1, 1.0f);
+  r.v = random_buffer(kMaxTileEdges * d, seed + 2, 4.0f);
+  r.gate = random_buffer(kMaxTileEdges, seed + 3, 1.0f);
+  for (float& g : r.gate) g += 1.0f;  // (0.5, 1.5)
+  r.scale = 1.0f / std::sqrt(static_cast<float>(d));
+  switch (profile) {
+    case ScoreProfile::Random: break;
+    case ScoreProfile::Rising:
+      // q in [0.5, 1] and k_j = noise/5 + j·q: consecutive dots differ
+      // by at least d/4 against a noise of at most d/5.
+      for (float& x : r.q) x = 0.75f + 0.5f * x;
+      for (Index j = 0; j < kMaxTileEdges; ++j) {
+        for (std::size_t c = 0; c < n; ++c) {
+          float& x = r.k[static_cast<std::size_t>(j) * n + c];
+          x = 0.2f * x + static_cast<float>(j) * r.q[c];
+        }
+      }
+      break;
+    case ScoreProfile::Equal:
+      for (Index j = 1; j < kMaxTileEdges; ++j) {
+        std::copy(r.k.begin(), r.k.begin() + static_cast<std::ptrdiff_t>(n),
+                  r.k.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(j) * n));
+      }
+      std::fill(r.gate.begin(), r.gate.end(), 0.75f);
+      break;
+    case ScoreProfile::LeadingNegInf:
+    case ScoreProfile::LeadingPosInf:
+      r.q[0] = 1.0f;
+      r.k[0] = profile == ScoreProfile::LeadingNegInf ? -kInf : kInf;
+      break;
+    case ScoreProfile::LeadingNan:
+      r.k[0] = std::numeric_limits<float>::quiet_NaN();
+      break;
+    case ScoreProfile::Denormal:
+      r.scale = 1e-40f;
+      break;
+  }
+  return r;
+}
+
+/// Folds edges [lo, hi) of a row into (osr, acc) through EdgeTile, one
+/// flush at the end — one row's shard.
+template <typename Q, typename KV>
+void tile_fold(const Q* q, const std::vector<KV>& k, const std::vector<KV>& v,
+               const std::vector<float>& gate, Index lo, Index hi, Index d, float scale,
+               bool use_gate, OnlineSoftmaxRow& osr, float* acc, const simd::VecOps& vo) {
+  detail::EdgeTile<Q, KV> tile(q, acc, osr, d, scale, use_gate, vo);
+  for (Index j = lo; j < hi; ++j) {
+    const auto off = static_cast<std::size_t>(j * d);
+    tile.add(k.data() + off, v.data() + off, gate[static_cast<std::size_t>(j)]);
+  }
+  tile.flush();
+  osr = tile.osr;
+}
+
+template <typename T>
+std::vector<T> as(const std::vector<float>& x) {
+  if constexpr (std::is_same_v<T, float>) {
+    return x;
+  } else {
+    std::vector<half_t> out(x.size());
+    simd::ops(SimdLevel::Scalar).f2h(out.data(), x.data(), static_cast<Index>(x.size()));
+    return out;
+  }
+}
+
+void expect_same_row(const OnlineSoftmaxRow& ref_osr, const std::vector<float>& ref_acc,
+                     const OnlineSoftmaxRow& osr, const std::vector<float>& acc) {
+  ASSERT_EQ(ulp_diff(osr.m, ref_osr.m), 0) << "m " << osr.m << " vs " << ref_osr.m;
+  ASSERT_EQ(ulp_diff(osr.l, ref_osr.l), 0) << "l " << osr.l << " vs " << ref_osr.l;
+  for (std::size_t c = 0; c < acc.size(); ++c) {
+    ASSERT_EQ(ulp_diff(acc[c], ref_acc[c]), 0) << "col " << c << ": " << acc[c] << " vs "
+                                               << ref_acc[c];
+  }
+}
+
+/// The tile fold equals the edge-at-a-time fold at 0 ULP on every arm —
+/// relaxed arms included, since both sides run the same arm — and a row
+/// folded as two shards equals the row folded at once.
+template <typename Q, typename KV>
+void check_tile_fold_grid(const char* type_name) {
+  for (const SimdLevel level : simd::available_levels()) {
+    const simd::VecOps& vo = simd::ops(level);
+    for (const Index d : head_dims()) {
+      for (const ScoreProfile profile : kProfiles) {
+        const TileRow r = make_tile_row(d, profile, 5000 + static_cast<std::uint64_t>(d));
+        const std::vector<Q> q = as<Q>(r.q);
+        const std::vector<KV> k = as<KV>(r.k);
+        const std::vector<KV> v = as<KV>(r.v);
+        for (const Index edges : {0, 1, 15, 16, 17, 31, 33, 100}) {
+          for (const bool gated : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << type_name << " level=" << simd::level_name(level) << " d=" << d
+                         << " profile=" << static_cast<int>(profile) << " edges=" << edges
+                         << " gated=" << gated);
+            const auto zero = std::vector<float>(static_cast<std::size_t>(d), 0.0f);
+            std::vector<float> ref_acc = zero;
+            OnlineSoftmaxRow ref_osr;
+            for (Index j = 0; j < edges; ++j) {
+              const auto off = static_cast<std::size_t>(j * d);
+              fold_edge(q.data(), k.data() + off, v.data() + off, d, r.scale,
+                        r.gate[static_cast<std::size_t>(j)], gated, ref_osr, ref_acc.data(), vo);
+            }
+            std::vector<float> acc = zero;
+            OnlineSoftmaxRow osr;
+            tile_fold(q.data(), k, v, r.gate, 0, edges, d, r.scale, gated, osr, acc.data(), vo);
+            expect_same_row(ref_osr, ref_acc, osr, acc);
+            for (const Index split : {Index{1}, Index{7}, edges / 2, edges - 5}) {
+              if (split < 0 || split > edges) continue;
+              SCOPED_TRACE(testing::Message() << "split=" << split);
+              acc = zero;
+              osr = OnlineSoftmaxRow{};
+              tile_fold(q.data(), k, v, r.gate, 0, split, d, r.scale, gated, osr, acc.data(),
+                        vo);
+              tile_fold(q.data(), k, v, r.gate, split, edges, d, r.scale, gated, osr,
+                        acc.data(), vo);
+              expect_same_row(ref_osr, ref_acc, osr, acc);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTileFold, FloatTileEqualsEdgeAtATimeFold) { check_tile_fold_grid<float, float>("f32"); }
+
+TEST(SimdTileFold, HalfTileEqualsEdgeAtATimeFold) { check_tile_fold_grid<half_t, half_t>("f16"); }
+
+TEST(SimdTileFold, HalfPageTileEqualsEdgeAtATimeFold) {
+  check_tile_fold_grid<float, half_t>("f32 query, f16 K/V");
+}
+
+TEST(SimdTileFold, DotRowsEqualsDotOnEveryArm) {
+  for (const SimdLevel level : simd::available_levels()) {
+    const simd::VecOps& vo = simd::ops(level);
+    for (const Index d : head_dims()) {
+      for (const ScoreProfile profile : kProfiles) {
+        const TileRow r = make_tile_row(d, profile, 7000 + static_cast<std::uint64_t>(d));
+        // Also scale the operands into the subnormal range, so the dots'
+        // products (not just the scaled scores) go denormal.
+        std::vector<float> q = r.q, k = r.k;
+        if (profile == ScoreProfile::Denormal) {
+          for (float& x : q) x *= 1e-20f;
+          for (float& x : k) x *= 1e-20f;
+        }
+        const float* rows[simd::kTileRows];
+        float out[simd::kTileRows];
+        for (Index count = 0; count <= simd::kTileRows; ++count) {
+          // Tiles start at several offsets, so row 0 of a tile is not
+          // always the K row with the leading ±inf/NaN.
+          for (const Index first : {Index{0}, Index{1}, kMaxTileEdges - simd::kTileRows}) {
+            SCOPED_TRACE(testing::Message()
+                         << "level=" << simd::level_name(level) << " d=" << d
+                         << " profile=" << static_cast<int>(profile) << " count=" << count
+                         << " first=" << first);
+            for (Index b = 0; b < count; ++b) {
+              rows[b] = k.data() + static_cast<std::size_t>((first + b) * d);
+            }
+            vo.dot_rows(q.data(), rows, count, d, out);
+            for (Index b = 0; b < count; ++b) {
+              ASSERT_EQ(ulp_diff(out[b], vo.dot(q.data(), rows[b], d)), 0) << "row " << b;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- fp16 fold parity: half pages vs the scalar-convert reference ------
 
 TEST(SimdFp16Fold, MatchesScalarConvertReferenceAcrossArms) {
-  // The decode path folds fp16 K/V pages via fold_edge_rows_fh. The
-  // reference widens the SAME half payloads back to fp32 (exact) and
-  // runs the plain float fold on the scalar arm: bitwise arms must
-  // reproduce it bit-for-bit (the lane contract runs over identical
-  // widened values); relaxed arms stay inside the kernel ULP budget.
+  // The decode path folds fp16 K/V pages through EdgeTile<float,
+  // half_t>. The reference widens the SAME half payloads back to fp32
+  // (exact) and runs the plain float fold on the scalar arm: bitwise
+  // arms must reproduce it bit-for-bit (the lane contract runs over
+  // identical widened values); relaxed arms stay inside the kernel ULP
+  // budget.
   const Index kEdges = 20;
   for (const Index d : {Index{1}, Index{7}, Index{16}, Index{33}, Index{64}, Index{67}}) {
     SCOPED_TRACE(testing::Message() << "d=" << d);
@@ -496,23 +745,23 @@ TEST(SimdFp16Fold, MatchesScalarConvertReferenceAcrossArms) {
     std::vector<float> acc_ref(static_cast<std::size_t>(d), 0.0f);
     OnlineSoftmaxRow osr_ref;
     for (Index j = 0; j < kEdges; ++j) {
-      detail::fold_edge_rows(in.q.row(0), kw.row(j), vw.row(j), d, scale, 1.0f, false, osr_ref,
-                             acc_ref.data(), scalar_ops);
+      fold_edge(in.q.row(0), kw.row(j), vw.row(j), d, scale, 1.0f, false, osr_ref,
+                acc_ref.data(), scalar_ops);
     }
 
     for (const SimdLevel level : simd::available_levels()) {
       SCOPED_TRACE(testing::Message() << "level=" << simd::level_name(level));
       const auto& vo = simd::ops(level);
       std::vector<float> acc(static_cast<std::size_t>(d), 0.0f);
-      OnlineSoftmaxRow osr;
+      detail::EdgeTile<float, half_t> tile(in.q.row(0), acc.data(), {}, d, scale, false, vo);
       for (Index j = 0; j < kEdges; ++j) {
-        detail::fold_edge_rows_fh(in.q.row(0), kh.data() + static_cast<std::size_t>(j * d),
-                                  vh.data() + static_cast<std::size_t>(j * d), d, scale, 1.0f,
-                                  false, osr, acc.data(), vo);
+        tile.add(kh.data() + static_cast<std::size_t>(j * d),
+                 vh.data() + static_cast<std::size_t>(j * d), 1.0f);
       }
+      tile.flush();
       const std::int64_t budget = simd::is_bitwise_level(level) ? 0 : kRelaxedKernelUlp;
-      EXPECT_LE(ulp_diff(osr.m, osr_ref.m), budget);
-      EXPECT_LE(ulp_diff(osr.l, osr_ref.l), budget);
+      EXPECT_LE(ulp_diff(tile.osr.m, osr_ref.m), budget);
+      EXPECT_LE(ulp_diff(tile.osr.l, osr_ref.l), budget);
       for (Index i = 0; i < d; ++i) {
         ASSERT_LE(ulp_diff(acc[static_cast<std::size_t>(i)], acc_ref[static_cast<std::size_t>(i)]),
                   budget)

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/traversal.hpp"
@@ -212,30 +213,76 @@ TEST(TraversalProperty, MalformedComposedComponentsThrowTyped) {
   EXPECT_THROW(traversals_of(rect, /*owning=*/true), InvalidArgument);
 }
 
-TEST(TraversalProperty, DegreesCountTheEnumeration) {
-  const Index L = 24;
-  const MaskTraversal t = MaskTraversal::dilated1d(Dilated1DParams{7, 1});
-  const auto full = t.degrees(L, /*causal=*/false);
-  const auto causal = t.degrees(L, /*causal=*/true);
-  ASSERT_EQ(full.size(), static_cast<std::size_t>(L));
-  Size full_sum = 0, causal_sum = 0;
-  for (Index i = 0; i < L; ++i) {
-    EXPECT_EQ(full[static_cast<std::size_t>(i)],
-              static_cast<Index>(collect_edges(t, i, L, false).size()));
-    EXPECT_LE(causal[static_cast<std::size_t>(i)], full[static_cast<std::size_t>(i)]);
-    full_sum += static_cast<Size>(full[static_cast<std::size_t>(i)]);
-    causal_sum += static_cast<Size>(causal[static_cast<std::size_t>(i)]);
+/// Every row's closed-form degree equals the count of its enumeration,
+/// full and causal; and the skew profile sums to the edge count.
+void check_degrees(const std::string& name, const MaskTraversal& t, Index L) {
+  for (const bool causal : {false, true}) {
+    SCOPED_TRACE(name + " L=" + std::to_string(L) + (causal ? " causal" : " full"));
+    const std::vector<Index> deg = t.degrees(L, causal);
+    ASSERT_EQ(deg.size(), static_cast<std::size_t>(L));
+    Size total = 0;
+    for (Index i = 0; i < L; ++i) {
+      ASSERT_EQ(deg[static_cast<std::size_t>(i)],
+                static_cast<Index>(collect_edges(t, i, L, causal).size()))
+          << "row " << i;
+      total += static_cast<Size>(deg[static_cast<std::size_t>(i)]);
+    }
+    EXPECT_EQ(t.stats(L, causal).total, total);
   }
-  EXPECT_EQ(full_sum, build_csr_dilated1d(L, Dilated1DParams{7, 1}).nnz());
-  // Cross-implementation pin: the enumeration-derived degrees must
-  // match graph/degree.hpp's closed-form per-family degrees, so the two
-  // skew profiles (the seqpar partitioner uses the closed forms) can
-  // never silently diverge.
-  EXPECT_EQ(full, dilated1d_degrees(L, Dilated1DParams{7, 1}));
-  EXPECT_EQ(MaskTraversal::local(LocalParams{5}).degrees(L), local_degrees(L, LocalParams{5}));
-  const auto st = t.stats(L);
-  EXPECT_EQ(st.total, full_sum);
-  EXPECT_GT(causal_sum, 0u);
+}
+
+TEST(TraversalProperty, DegreesCountTheEnumeration) {
+  for (const Index L : {1, 2, 7, 64, 257}) {
+    for (const Index w : {1, 2, 3, 8, 300}) {
+      const LocalParams p{w};
+      check_degrees("local w=" + std::to_string(w), MaskTraversal::local(p), L);
+      // graph/degree.hpp's per-family degrees are the same closed forms.
+      EXPECT_EQ(local_degrees(L, p), MaskTraversal::local(p).degrees(L));
+    }
+    for (const auto& [w, r] : std::vector<std::pair<Index, Index>>{
+             {1, 0}, {2, 0}, {5, 1}, {7, 1}, {7, 2}, {16, 3}, {300, 4}}) {
+      const Dilated1DParams p{w, r};
+      check_degrees("dilated1d w=" + std::to_string(w) + " r=" + std::to_string(r),
+                    MaskTraversal::dilated1d(p), L);
+      EXPECT_EQ(dilated1d_degrees(L, p), MaskTraversal::dilated1d(p).degrees(L));
+    }
+    for (const Index block : {Index{1}, Index{8}, L}) {
+      if (L % block != 0) continue;
+      for (const Index r : {0, 1, 3}) {
+        const Dilated2DParams p{L, block, r};
+        check_degrees("dilated2d b=" + std::to_string(block) + " r=" + std::to_string(r),
+                      MaskTraversal::dilated2d(p), L);
+        EXPECT_EQ(dilated2d_degrees(p), MaskTraversal::dilated2d(p).degrees(L));
+      }
+    }
+    for (const std::vector<Index>& tokens : std::vector<std::vector<Index>>{
+             {}, {0}, {0, 3, 5}, {1, 2, 40, 63, 64, 200, 256}}) {
+      GlobalMinusLocalParams p;
+      for (const Index tok : tokens) {
+        if (tok < L) p.global.tokens.push_back(tok);
+      }
+      for (const Index w : {1, 2, 5, 300}) {
+        p.local.window = w;
+        check_degrees("global tokens=" + std::to_string(p.global.tokens.size()) +
+                          " w=" + std::to_string(w),
+                      MaskTraversal::global(p), L);
+        EXPECT_EQ(global_minus_local_degrees(L, p), MaskTraversal::global(p).degrees(L));
+      }
+    }
+    for (const double density : {0.0, 0.1, 0.6}) {
+      const Csr<float> csr =
+          build_csr_random(L, RandomParams{density, 31 + static_cast<std::uint64_t>(L)});
+      const Coo<float> coo = csr_to_coo(csr);
+      check_degrees("csr", MaskTraversal::over(csr), L);
+      EXPECT_EQ(csr_degrees(csr), MaskTraversal::over(csr).degrees(L));
+      for (const CooSearch search : {CooSearch::Linear, CooSearch::Binary}) {
+        check_degrees("coo", MaskTraversal::over(coo, search), L);
+      }
+    }
+  }
+  // The dilated-1D skew profile sums to the materialised mask's NNZ.
+  EXPECT_EQ(MaskTraversal::dilated1d(Dilated1DParams{7, 1}).stats(24).total,
+            build_csr_dilated1d(24, Dilated1DParams{7, 1}).nnz());
 }
 
 TEST(TraversalProperty, SessionSpecsRejectViewsAndNonSquareMasks) {
