@@ -2,8 +2,8 @@
 // factor, FP32/FP16, dk ∈ {64, 128}) and Table II (max L at Sf = 1e-4,
 // including the Llama-3 32-head geometry), plus the §II-D LongNet
 // sparsity table. Purely analytic — runs in milliseconds and matches the
-// paper's A100-80GB numbers (see EXPERIMENTS.md for the per-cell
-// comparison).
+// paper's A100-80GB numbers (test_memmodel pins the Table II cells
+// against the paper's).
 //
 // Flags: --csv <path>, --table2 (only the table), --sparsity-table.
 

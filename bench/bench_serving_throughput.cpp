@@ -232,7 +232,8 @@ int main(int argc, char** argv) {
       std::vector<std::size_t> rung_records;
     };
     const std::vector<Index> no_buckets;
-    std::vector<Arm> arms = {{"exact", &no_buckets}, {"bucketed", &buckets}};
+    std::vector<Arm> arms = {{"exact", &no_buckets, 0.0, true, {}},
+                             {"bucketed", &buckets, 0.0, true, {}}};
 
     auto probe_once = [&](Arm& arm, double rate) {
       const Size n = static_cast<Size>(rate * rung_seconds);

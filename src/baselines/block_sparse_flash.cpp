@@ -1,6 +1,5 @@
 #include "baselines/block_sparse_flash.hpp"
 
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -46,8 +45,10 @@ void block_sparse_flash_attention(const Matrix<T>& q, const Matrix<T>& k, const 
 
   // Dense view of the mask for the in-block invalidation step (the
   // comparators carry a block-local mask as well).
+  const simd::VecOps& vo = simd::ops(opts.policy.simd);
   parallel_for_chunks(0, L, opts.policy, [&](Index row_lo, Index row_hi) {
     std::vector<float> s_tile(static_cast<std::size_t>(bs));
+    std::vector<float> p_tile(static_cast<std::size_t>(bs));
     std::vector<float> acc(static_cast<std::size_t>(d));
     std::vector<std::uint8_t> mask_row(static_cast<std::size_t>(L));
 
@@ -87,15 +88,20 @@ void block_sparse_flash_attention(const Matrix<T>& q, const Matrix<T>& k, const 
         if (tile_max == -std::numeric_limits<float>::infinity()) continue;  // row ∩ block empty
 
         const float m_new = tile_max > m ? tile_max : m;
-        const float alpha = std::exp(m - m_new);
+        float alpha = m - m_new;
+        vo.exp(&alpha, &alpha, 1);
         if (alpha != 1.0f) {
           for (Index p = 0; p < d; ++p) acc[static_cast<std::size_t>(p)] *= alpha;
         }
+        for (Index j = 0; j < j1 - j0; ++j) {
+          p_tile[static_cast<std::size_t>(j)] = s_tile[static_cast<std::size_t>(j)] - m_new;
+        }
+        vo.exp(p_tile.data(), p_tile.data(), j1 - j0);
         float tile_l = 0.0f;
         for (Index j = j0; j < j1; ++j) {
           const float sj = s_tile[static_cast<std::size_t>(j - j0)];
           if (sj == -std::numeric_limits<float>::infinity()) continue;
-          const float pj = std::exp(sj - m_new);
+          const float pj = p_tile[static_cast<std::size_t>(j - j0)];
           tile_l += pj;
           const T* vj = v.row(j);
           for (Index p = 0; p < d; ++p) {

@@ -11,7 +11,9 @@
 namespace gpa::baselines {
 
 /// O = softmax(scale·QKᵀ + mask ? 0 : -inf) · V, computed densely.
-/// Fully-masked rows produce zero rows (DESIGN.md §4).
+/// Fully-masked rows produce zero rows, not NaN — the convention
+/// softmax_rows and every kernel's inv_l() follow, so an empty row
+/// compares equal on both sides of a check.
 /// scale < 0 selects 1/sqrt(dk).
 void reference_attention(const Matrix<float>& q, const Matrix<float>& k,
                          const Matrix<float>& v, const Matrix<std::uint8_t>& mask,

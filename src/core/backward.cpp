@@ -1,7 +1,6 @@
 #include "core/backward.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -57,11 +56,14 @@ std::vector<float> row_dots(const Matrix<float>& dout, const Matrix<float>& out)
   return d;
 }
 
+/// P_ij recomputed from the forward's (m_i, l_i), with the forward's exp.
 inline float prob_of_edge(const float* qi, const float* kj, Index d, float scale, float m_i,
-                          float inv_l_i) {
+                          float inv_l_i, const simd::VecOps& vo) {
   float s = 0.0f;
   for (Index p = 0; p < d; ++p) s += qi[p] * kj[p];
-  return std::exp(s * scale - m_i) * inv_l_i;
+  float x = s * scale - m_i;
+  vo.exp(&x, &x, 1);
+  return x * inv_l_i;
 }
 
 void check_training_opts(const AttentionOptions& opts) {
@@ -111,6 +113,7 @@ void csr_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
   const float scale = detail::resolve_scale(opts.scale, d);
   grads.reset(L, d);
   const auto D = row_dots(dout, cache.out);
+  const simd::VecOps& vo = simd::ops(opts.policy.simd);
 
   // Phase A — row-parallel over queries: dQ_i = scale·Σ_j dS_ij·k_j.
   parallel_for(0, L, opts.policy, [&](Index i) {
@@ -127,7 +130,7 @@ void csr_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
       const Index j = mask.col_idx[static_cast<std::size_t>(kk)];
       if (opts.causal && j > i) break;
       const float* kj = k.row(j);
-      const float pij = prob_of_edge(qi, kj, d, scale, mi, inv_l);
+      const float pij = prob_of_edge(qi, kj, d, scale, mi, inv_l, vo);
       const float* vj = v.row(j);
       float dov = 0.0f;
       for (Index p = 0; p < d; ++p) dov += doi[p] * vj[p];
@@ -152,7 +155,7 @@ void csr_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
       const float li = cache.l[static_cast<std::size_t>(i)];
       if (li <= 0.0f) continue;
       const float pij = prob_of_edge(q.row(i), kj, d, scale, cache.m[static_cast<std::size_t>(i)],
-                                     1.0f / li);
+                                     1.0f / li, vo);
       const float* doi = dout.row(i);
       float dov = 0.0f;
       for (Index p = 0; p < d; ++p) dov += doi[p] * vj[p];
@@ -179,6 +182,7 @@ void local_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
   const float scale = detail::resolve_scale(opts.scale, d);
   grads.reset(L, d);
   const auto D = row_dots(dout, cache.out);
+  const simd::VecOps& vo = simd::ops(opts.policy.simd);
 
   // Phase A — over queries (window neighbors of i, forward direction).
   parallel_for(0, L, opts.policy, [&](Index i) {
@@ -194,7 +198,7 @@ void local_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
     const Index hi = opts.causal ? i : std::min<Index>(L - 1, i + (p.window - 1));
     for (Index j = lo; j <= hi; ++j) {
       const float* kj = k.row(j);
-      const float pij = prob_of_edge(qi, kj, d, scale, mi, inv_l);
+      const float pij = prob_of_edge(qi, kj, d, scale, mi, inv_l, vo);
       const float* vj = v.row(j);
       float dov = 0.0f;
       for (Index px = 0; px < d; ++px) dov += doi[px] * vj[px];
@@ -217,7 +221,7 @@ void local_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
       const float li = cache.l[static_cast<std::size_t>(i)];
       if (li <= 0.0f) continue;
       const float pij = prob_of_edge(q.row(i), kj, d, scale,
-                                     cache.m[static_cast<std::size_t>(i)], 1.0f / li);
+                                     cache.m[static_cast<std::size_t>(i)], 1.0f / li, vo);
       const float* doi = dout.row(i);
       float dov = 0.0f;
       for (Index px = 0; px < d; ++px) dov += doi[px] * vj[px];

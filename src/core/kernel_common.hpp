@@ -3,9 +3,9 @@
 //
 // Every kernel is the same row-parallel fold; they differ only in the
 // neighbor enumeration (`Get_Neighbors`). The fold below is the paper's
-// inner loop with one algebraic change documented in DESIGN.md §4: the
-// accumulator stays unnormalised (U = l·O) and is divided by l once at
-// finalisation, instead of renormalising on every edge. Per edge:
+// inner loop with one algebraic change: the accumulator stays
+// unnormalised (U = l·O) and is divided by l once at finalisation,
+// instead of renormalising on every edge. Per edge:
 //
 //   w      = scale · (Q_i · K_j)          (optionally · mask value)
 //   m_new  = max(m, w)
@@ -14,11 +14,13 @@
 //   U_i    = U_i·alpha + beta·V_j
 //
 // which is exactly the paper's update after multiplying through by l.
+// exp is the program's one exp (simd::VecOps::exp).
 //
 // The fold runs per tile: a row's edges are queued sixteen at a time
-// (EdgeTile) and each tile's dots, softmax pushes and accumulator
-// updates run as three batched steps. Every edge still gets the update
-// above, in edge order, so tiling changes the speed and not the bits.
+// (EdgeTile) and each float tile is one VecOps::fold_tile call, which
+// on avx512 keeps the tile's scores in registers from the dots to the
+// exps. Every edge still gets the update above, in edge order, so
+// tiling changes the speed and not the bits.
 
 #include <cmath>
 
@@ -64,21 +66,19 @@ void fold_tile(EdgeTile<Q, KV>& tile);
 
 /// One row's fold, sixteen edges at a time. `add` queues an edge's K
 /// row, V row and gate; every simd::kTileRows edges, and at `flush`,
-/// fold_tile folds the queue in three steps — the tile's Q·K dots
-/// (VecOps::dot_rows), then the scores `w = dot · scale (· gate)` and
-/// their softmax pushes in edge order (OnlineSoftmaxRow::push_each),
-/// then the ordered accumulator updates (VecOps::fold_rows). Each edge
-/// gets exactly the operations of the update in the header comment, in
-/// the same order, so the result is the edge-at-a-time fold's bit for
-/// bit on every arm. Call `flush` at the end of each row, or of each
-/// row's shard.
+/// fold_tile folds the queue: for float rows in one VecOps::fold_tile
+/// call. Each edge gets exactly the operations of the update in the
+/// header comment, in the same order, so the result is the
+/// edge-at-a-time fold's bit for bit on every arm. Call `flush` at the
+/// end of each row, or of each row's shard.
 ///
 /// Q is the query's element type and KV that of the K/V rows: float,
 /// half_t for half matrices, or a float query over half-width KV pages.
-/// The half forms run the same tile fold with the fp16 table entries
-/// (dot_h / dot_fh, axpy_h / axpby_h) edge by edge inside the flush;
-/// fp16 K/V widen exactly, so fp16-page decode differs from fp32-page
-/// decode only by the storage quantisation of K/V.
+/// The half forms fold edge by edge inside the flush with the fp16 table
+/// entries (dot_h / dot_fh, axpy_h / axpby_h) and
+/// OnlineSoftmaxRow::push_each; fp16 K/V widen exactly, so fp16-page
+/// decode differs from fp32-page decode only by the storage
+/// quantisation of K/V.
 template <typename Q, typename KV = Q>
 struct EdgeTile {
   EdgeTile(const Q* q_row, float* acc_row, OnlineSoftmaxRow row_state, Index dim,

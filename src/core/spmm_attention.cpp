@@ -1,7 +1,6 @@
 #include "core/spmm_attention.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -53,9 +52,8 @@ Csr<float> sddmm(const Matrix<T>& q, const Matrix<T>& k, const Csr<float>& mask,
 void csr_row_softmax(Csr<float>& scores, const ExecPolicy& policy) {
   // A CSR row's values are contiguous, so the max / sum / rescale passes
   // go straight through the dispatched reductions (lane contract: both
-  // arms bit-identical). Only the exp pass stays a scalar loop — there
-  // is no vector exp in the arms, and a polynomial one would break the
-  // bit-identity story.
+  // bitwise arms bit-identical), and the exp pass through the dispatched
+  // exp (the same bits on every arm).
   const simd::VecOps& vo = simd::ops(policy.simd);
   parallel_for(0, scores.rows, policy, [&](Index i) {
     const Index b = scores.row_begin(i);
@@ -64,7 +62,8 @@ void csr_row_softmax(Csr<float>& scores, const ExecPolicy& policy) {
     float* row = scores.values.data() + static_cast<std::size_t>(b);
     const Index n = e - b;
     const float m = vo.reduce_max(row, n);
-    for (Index k = 0; k < n; ++k) row[k] = std::exp(row[k] - m);
+    for (Index k = 0; k < n; ++k) row[k] -= m;
+    vo.exp(row, row, n);
     const float l = vo.reduce_sum(row, n);
     vo.scale(row, 1.0f / l, n);
   });

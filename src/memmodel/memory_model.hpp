@@ -19,7 +19,9 @@
 // This matches the paper's Local/Dilated/Global/Flash columns to the
 // token (± rounding) and the CSR/COO columns within 0.2% — except the
 // paper's CSR-FP16 cell, which is internally inconsistent with its own
-// COO-FP16 accounting; EXPERIMENTS.md §Table II discusses the cell.
+// COO-FP16 accounting: that cell (14,013,926 tokens) implies 4 bytes per
+// nonzero where its COO-FP16 cell implies 10, and this model's 6 bytes
+// per nonzero gives a shorter length (test_memmodel pins the range).
 
 #include <string_view>
 #include <vector>

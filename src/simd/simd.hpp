@@ -1,17 +1,17 @@
 #pragma once
 // Runtime-dispatched vector primitives for the d-dimension inner loops.
 //
-// Every hot kernel reduces to four row operations: a Q·K dot product, the
-// online-softmax accumulator update acc = alpha*acc + beta*v, a rescale,
-// and the max/sum reductions of the softmax passes. Two tile operations
-// batch the first two over up to kTileRows K/V rows of one query row:
-// dot_rows (the tile's Q·K dots) and fold_rows (the tile's ordered
-// accumulator updates). Their contract is bit for bit: on every arm,
-// dot_rows equals `dot` row by row, and fold_rows equals the sequence of
-// `axpy` (alpha == 1) / `axpby` (otherwise) calls it replaces. A tile
-// changes how much work one call does, never a rounding. This layer
-// provides those primitives behind a function-pointer table with four
-// arms:
+// Every hot kernel reduces to a few row operations: a Q·K dot product,
+// the online-softmax accumulator update acc = alpha*acc + beta*v, a
+// rescale, the max/sum reductions of the softmax passes, and the
+// softmax exp. One tile operation, fold_tile, folds up to kTileRows K/V
+// rows of one query row whole: the dots, the scale and gate, the
+// running max, both exps, l and the ordered accumulator updates. Its
+// contract is bit for bit: on every arm it equals the edge-by-edge
+// composition of that arm's own `dot`, `exp`, `axpy` and `axpby`
+// through softmax_push (NaN payloads aside). A tile changes how much
+// work one call does, never a rounding. This layer provides those
+// primitives behind a function-pointer table with four arms:
 //
 //  * scalar   — the always-compiled portable reference (compiled with
 //    auto-vectorization disabled so "scalar" means scalar),
@@ -24,6 +24,18 @@
 // The library itself stays runnable on any x86-64; arms are picked at
 // runtime (cpuid + GPA_SIMD env + ExecPolicy::simd), and an unavailable
 // request clamps down to the best level at or below it.
+//
+// THE EXP: `exp` is the program's only softmax exp (reference_attention
+// keeps std::exp as the independent oracle). It is one lane definition,
+// written as scalar code in ops_tables.hpp (exp_lane) and mirrored op
+// for op by every vector arm: clamp with MINPS/MAXPS semantics, n =
+// round-to-nearest-even(x·log2e) through the 1.5·2^23 shifter, a
+// two-constant ln2 reduction, Cephes' degree-5 polynomial, and a
+// two-step 2^n scale so a subnormal result rounds once. It has no lanes,
+// no reductions and no FMA (every vector TU is built with
+// -ffp-contract=off), so it has THE SAME BITS ON EVERY ARM, in both
+// parity classes below, and stays within 1 ULP of the correctly rounded
+// exp (tests/test_exp_exhaustive.cpp checks all 2^32 inputs).
 //
 // PARITY CLASSES (load-bearing for the differential test harness):
 //
@@ -49,6 +61,8 @@
 // scalar reference, with bounds derived per reduction length in
 // tests/test_simd_parity.cpp. Bit-exact gates must run on a bitwise arm
 // (they force one); throughput paths take the relaxed arms by default.
+// exp, scale, reduce_max, h2f and f2h do no reassociated additions and
+// no FMA, so they stay bitwise across all four arms.
 //
 // FP16 ops: arithmetic is always float — half values are widened on
 // load (exactly: binary16 -> binary32 is lossless, in software and in
@@ -66,9 +80,12 @@
 
 namespace gpa::simd {
 
-/// Most rows one dot_rows / fold_rows call takes: one avx512 transposed
-/// reduction turns sixteen dot accumulators into sixteen scores.
+/// Most edges one fold_tile call takes: one avx512 transposed reduction
+/// turns sixteen dot accumulators into sixteen scores.
 inline constexpr Index kTileRows = 16;
+
+/// An arm's elementwise exp (VecOps::exp).
+using ExpFn = void (*)(float* dst, const float* src, Index n) noexcept;
 
 /// The dispatch table. All pointers are non-null for every arm.
 /// Reductions over n == 0 return the operation identity (0 for sum/dot,
@@ -87,14 +104,21 @@ struct VecOps {
   float (*reduce_max)(const float* x, Index n) noexcept;
   /// Σ x[i] under the lane contract.
   float (*reduce_sum)(const float* x, Index n) noexcept;
-  /// out[b] = dot(q, rows[b], n) bit for bit, for b < count <= kTileRows.
-  void (*dot_rows)(const float* q, const float* const* rows, Index count, Index n,
-                   float* out) noexcept;
-  /// For b = 0..count-1 in order (count <= kTileRows): axpy(acc, beta[b],
-  /// rows[b], n) when alpha[b] == 1, else axpby(acc, alpha[b], beta[b],
-  /// rows[b], n) — bit for bit; the two updates round differently.
-  void (*fold_rows)(float* acc, const float* alpha, const float* beta,
-                    const float* const* rows, Index count, Index n) noexcept;
+  /// dst[i] = exp(src[i]) under the exp lane definition above: the same
+  /// bits on every arm; at most 1 ULP from the correctly rounded value;
+  /// exp(±0) == 1, exp(-inf) == +0, exp(+inf) == +inf, NaN stays NaN,
+  /// and inputs beyond the clamps give +inf or +0. dst may equal src.
+  void (*exp)(float* dst, const float* src, Index n) noexcept;
+  /// Folds edges b = 0..count-1 (count <= kTileRows) of one query row q
+  /// into its running (*m, *l) and unnormalised accumulator acc[0..n):
+  /// score w_b = dot(q, k[b], n) · scale (· gate[b] when gate is not
+  /// null), then softmax_push over the scores with this arm's `exp`,
+  /// then for each edge in order axpy(acc, beta_b, v[b], n) when alpha_b
+  /// == 1, else axpby(acc, alpha_b, beta_b, v[b], n). Bit for bit that
+  /// composition, NaN payloads aside.
+  void (*fold_tile)(const float* q, const float* const* k, const float* const* v,
+                    const float* gate, Index count, Index n, float scale, float* m, float* l,
+                    float* acc) noexcept;
 
   // --- fp16 storage ops (widen to float, compute in fp32) ------------
   /// Σ widen(a[i])·widen(b[i]) — the half-instantiation Q·K dot.
@@ -111,6 +135,21 @@ struct VecOps {
   /// every arm, so fp16 page payloads are dispatch-independent).
   void (*f2h)(half_t* dst, const float* src, Index n) noexcept;
 };
+
+/// The online-softmax step of one row over scores s[0..n), n <=
+/// kTileRows, in score order, with `exp` the arm's VecOps::exp. Per
+/// score, with m the running max before it:
+///   m_new = s > m ? s : m,  alpha = exp(m - m_new),  beta = exp(s - m_new),
+///   l = l·alpha + beta (l + beta when alpha == 1: l·1 == l exactly),
+///   m = m_new
+/// except that a -inf score on a still-empty row (m == -inf) takes the
+/// exp arguments (0, -inf) — m - m_new would be NaN — which give
+/// exactly (1, 0). The exps come first, two calls over the whole tile,
+/// then l in score order. Writes each score's alpha and beta. Defined
+/// once (simd_scalar.cpp); every by-edge fold_tile and
+/// OnlineSoftmaxRow::push_each go through it.
+void softmax_push(ExpFn exp, const float* s, Index n, float& m, float& l, float* alpha,
+                  float* beta) noexcept;
 
 /// CPUID says this machine can execute AVX2 + F16C (the avx2 arm's half
 /// ops use VCVTPH2PS/VCVTPS2PH; every AVX2-era core ships F16C).

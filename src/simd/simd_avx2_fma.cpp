@@ -1,11 +1,13 @@
 // Relaxed AVX2+FMA arm of the SIMD dispatch — compiled with
-// -mavx2 -mfma -mf16c. Same 8-lane shape, masked tails, and pairwise
-// reduction tree as the bitwise avx2 arm, but every multiply-accumulate
-// is an explicit _mm256_fmadd_ps: a·b+c rounds ONCE where the lane
-// contract rounds twice, so this arm is deterministic but only
-// ULP-bounded against the scalar reference (tests/test_simd_parity.cpp
-// derives and pins the bounds). scale / reduce_max / reduce_sum contain
-// no mul+add pairs and remain bit-identical to the bitwise arms.
+// -mavx2 -mfma -mf16c -ffp-contract=off. Same 8-lane shape, masked
+// tails, and pairwise reduction tree as the bitwise avx2 arm, but every
+// multiply-accumulate of the dot / accumulate ops is an explicit
+// _mm256_fmadd_ps: a·b+c rounds ONCE where the lane contract rounds
+// twice, so this arm is deterministic but only ULP-bounded against the
+// scalar reference (tests/test_simd_parity.cpp derives and pins the
+// bounds). scale / reduce_max / reduce_sum / exp contain no fused
+// mul+add and remain bit-identical to the bitwise arms; contraction is
+// off so the compiler cannot fuse exp's separate mul and add.
 
 #if !defined(GPA_SIMD_AVX2_FMA)
 #error "simd_avx2_fma.cpp must only be compiled when GPA_SIMD_AVX2_FMA is defined"
@@ -131,6 +133,43 @@ float reduce_max(const float* x, Index n) noexcept {
   return reduce_tree_max(s);
 }
 
+/// exp_lane (ops_tables.hpp) on eight lanes, op for op: no FMA.
+inline __m256 exp8(__m256 x) noexcept {
+  const __m256 c =
+      _mm256_max_ps(_mm256_set1_ps(kExpLo), _mm256_min_ps(_mm256_set1_ps(kExpHi), x));
+  const __m256 shifter = _mm256_set1_ps(kExpShifter);
+  const __m256 t = _mm256_add_ps(_mm256_mul_ps(c, _mm256_set1_ps(kExpLog2e)), shifter);
+  const __m256 n = _mm256_sub_ps(t, shifter);
+  const __m256 r = _mm256_sub_ps(_mm256_sub_ps(c, _mm256_mul_ps(n, _mm256_set1_ps(kExpLn2Hi))),
+                                 _mm256_mul_ps(n, _mm256_set1_ps(kExpLn2Lo)));
+  __m256 p = _mm256_set1_ps(kExpP0);
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP1));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP2));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP3));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP4));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP5));
+  const __m256 y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+                                 _mm256_set1_ps(1.0f));
+  const __m256i ni = _mm256_sub_epi32(_mm256_castps_si256(t),
+                                      _mm256_set1_epi32(static_cast<int>(kExpShifterBits)));
+  const __m256i half = _mm256_srai_epi32(ni, 1);
+  const auto pow2 = [](__m256i k) {
+    return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(k, _mm256_set1_epi32(127)), 23));
+  };
+  return _mm256_mul_ps(_mm256_mul_ps(y, pow2(half)), pow2(_mm256_sub_epi32(ni, half)));
+}
+
+void exp(float* dst, const float* src, Index n) noexcept {
+  Index base = 0;
+  for (; base + kLanes <= n; base += kLanes) {
+    _mm256_storeu_ps(dst + base, exp8(_mm256_loadu_ps(src + base)));
+  }
+  if (base < n) {
+    const __m256i mask = tail_mask(n - base);
+    _mm256_maskstore_ps(dst + base, mask, exp8(_mm256_maskload_ps(src + base, mask)));
+  }
+}
+
 float reduce_sum(const float* x, Index n) noexcept {
   __m256 s = _mm256_setzero_ps();
   Index base = 0;
@@ -234,8 +273,8 @@ void f2h(half_t* dst, const float* src, Index n) noexcept {
 
 }  // namespace
 
-const VecOps kAvx2FmaOps = {dot,   axpby,  axpy,    scale,  reduce_max, reduce_sum,
-                            dot_rows_by_row<dot>, fold_rows_by_row<axpy, axpby>,
-                            dot_h, dot_fh, axpby_h, axpy_h, h2f,        f2h};
+const VecOps kAvx2FmaOps = {dot,    axpby,  axpy,    scale,  reduce_max,
+                            reduce_sum, exp, fold_tile_by_edge<dot, exp, axpy, axpby>,
+                            dot_h,  dot_fh, axpby_h, axpy_h, h2f, f2h};
 
 }  // namespace gpa::simd::detail

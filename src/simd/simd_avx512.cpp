@@ -1,10 +1,12 @@
 // Relaxed AVX-512 arm of the SIMD dispatch — the only translation unit
-// compiled with -mavx512f, behind the GPA_ENABLE_AVX512 CMake gate.
+// compiled with -mavx512f, behind the GPA_ENABLE_AVX512 CMake gate, and
+// with -ffp-contract=off so only the explicit FMAs below fuse.
 // Sixteen lanes with explicit fused multiply-adds: both the lane count
 // and the single-rounding FMAs reassociate every reduction relative to
 // the 8-lane contract, so this arm is deterministic (same inputs, same
 // bits, every run and schedule) but only ULP-bounded against the scalar
 // reference (tests/test_simd_parity.cpp derives and pins the bounds).
+// Its exp has no FMA and the same bits as every other arm's.
 //
 // Tails use AVX-512's native per-lane masking (__mmask16 zero-masked
 // loads / masked stores) for floats; half rows stage through a
@@ -14,10 +16,11 @@
 //
 // Every sum reduction ends in one written-out tree (reduce_add16), the
 // order GCC 12's _mm512_reduce_add_ps uses: high + low 256-bit halves,
-// high + low 128-bit quarters, [0]+[2] and [1]+[3], then [0]+[1]. The
-// tile op dot_rows runs the same tree on sixteen rows at once
-// (reduce_add16x16), so a batched score equals `dot`'s bit for bit
-// whatever a compiler's own reduce intrinsic does.
+// high + low 128-bit quarters, [0]+[2] and [1]+[3], then [0]+[1].
+// fold_tile runs the same tree on sixteen rows at once
+// (reduce_add16x16), so a tile's scores equal `dot`'s bit for bit
+// whatever a compiler's own reduce intrinsic does, and keeps them in one
+// register through the scale, gate, running max and both exps.
 
 #if !defined(GPA_SIMD_AVX512)
 #error "simd_avx512.cpp must only be compiled when GPA_SIMD_AVX512 is defined"
@@ -172,6 +175,43 @@ float reduce_max(const float* x, Index n) noexcept {
   return _mm512_reduce_max_ps(s);
 }
 
+/// exp_lane (ops_tables.hpp) on sixteen lanes, op for op: no FMA.
+inline __m512 exp16(__m512 x) noexcept {
+  const __m512 c =
+      _mm512_max_ps(_mm512_set1_ps(kExpLo), _mm512_min_ps(_mm512_set1_ps(kExpHi), x));
+  const __m512 shifter = _mm512_set1_ps(kExpShifter);
+  const __m512 t = _mm512_add_ps(_mm512_mul_ps(c, _mm512_set1_ps(kExpLog2e)), shifter);
+  const __m512 n = _mm512_sub_ps(t, shifter);
+  const __m512 r = _mm512_sub_ps(_mm512_sub_ps(c, _mm512_mul_ps(n, _mm512_set1_ps(kExpLn2Hi))),
+                                 _mm512_mul_ps(n, _mm512_set1_ps(kExpLn2Lo)));
+  __m512 p = _mm512_set1_ps(kExpP0);
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpP1));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpP2));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpP3));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpP4));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpP5));
+  const __m512 y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(p, _mm512_mul_ps(r, r)), r),
+                                 _mm512_set1_ps(1.0f));
+  const __m512i ni = _mm512_sub_epi32(_mm512_castps_si512(t),
+                                      _mm512_set1_epi32(static_cast<int>(kExpShifterBits)));
+  const __m512i half = _mm512_srai_epi32(ni, 1);
+  const auto pow2 = [](__m512i k) {
+    return _mm512_castsi512_ps(_mm512_slli_epi32(_mm512_add_epi32(k, _mm512_set1_epi32(127)), 23));
+  };
+  return _mm512_mul_ps(_mm512_mul_ps(y, pow2(half)), pow2(_mm512_sub_epi32(ni, half)));
+}
+
+void exp(float* dst, const float* src, Index n) noexcept {
+  Index base = 0;
+  for (; base + kLanes <= n; base += kLanes) {
+    _mm512_storeu_ps(dst + base, exp16(_mm512_loadu_ps(src + base)));
+  }
+  if (base < n) {
+    const __mmask16 m = tail_mask(n - base);
+    _mm512_mask_storeu_ps(dst + base, m, exp16(_mm512_maskz_loadu_ps(m, src + base)));
+  }
+}
+
 float reduce_sum(const float* x, Index n) noexcept {
   __m512 s = _mm512_setzero_ps();
   Index base = 0;
@@ -189,35 +229,17 @@ inline __mmask16 block_mask(Index base, Index n) noexcept {
   return n - base >= kLanes ? __mmask16{0xFFFF} : tail_mask(n - base);
 }
 
-void dot_rows(const float* q, const float* const* rows, Index count, Index n,
-              float* out) noexcept {
-  if (count <= 0) return;
-  // A short tile repeats row 0 in its spare lanes; their sums are never
-  // stored.
-  const float* padded[kTileRows];
-  if (count < kTileRows) {
-    for (Index b = 0; b < kTileRows; ++b) padded[b] = rows[b < count ? b : 0];
-    rows = padded;
-  }
-  __m512 s[kTileRows];
-#pragma GCC unroll 16
-  for (Index b = 0; b < kTileRows; ++b) s[b] = _mm512_setzero_ps();
-  // One loop over full and tail blocks: dead tail lanes load +0.0f and
-  // add fma(0, 0, s) = s, as in `dot`.
-  for (Index base = 0; base < n; base += kLanes) {
-    const __mmask16 m = block_mask(base, n);
-    const __m512 qv = _mm512_maskz_loadu_ps(m, q + base);
-#pragma GCC unroll 16
-    for (Index b = 0; b < kTileRows; ++b) {
-      s[b] = _mm512_fmadd_ps(qv, _mm512_maskz_loadu_ps(m, rows[b] + base), s[b]);
-    }
-  }
-  _mm512_mask_storeu_ps(out, tail_mask(count), reduce_add16x16(s));
+/// v shifted up by K lanes: lane b holds v[b - K], lanes below K hold
+/// `fill`.
+template <int K>
+inline __m512 shift_up(__m512 v, __m512 fill) noexcept {
+  return _mm512_castsi512_ps(
+      _mm512_alignr_epi32(_mm512_castps_si512(v), _mm512_castps_si512(fill), kLanes - K));
 }
 
-/// fold_rows over kBlocks consecutive 16-column blocks of acc from
-/// `base` (the last one masked by `last`), each kept in a register
-/// across the tile.
+/// The tile's ordered accumulator updates over kBlocks consecutive
+/// 16-column blocks of acc from `base` (the last one masked by `last`),
+/// each kept in a register across the tile.
 template <int kBlocks>
 inline void fold_blocks(float* acc, const float* alpha, const float* beta,
                         const float* const* rows, Index count, Index base,
@@ -247,18 +269,76 @@ inline void fold_blocks(float* acc, const float* alpha, const float* beta,
   }
 }
 
-void fold_rows(float* acc, const float* alpha, const float* beta, const float* const* rows,
-               Index count, Index n) noexcept {
-  // Column blocks outside, rows inside: acc is loaded and stored once
-  // per tile, and every lane still sees axpy's or axpby's update, row
-  // by row in order. Four blocks (64 columns) at a time, so four FMA
+void fold_tile(const float* q, const float* const* k, const float* const* v,
+               const float* gate, Index count, Index n, float scale, float* m, float* l,
+               float* acc) noexcept {
+  if (count <= 0) return;
+  const __mmask16 live = tail_mask(count);
+
+  // The tile's Q·K dots, one accumulator per row. A short tile repeats
+  // row 0 in its spare lanes; their scores are never used. One loop over
+  // full and tail blocks: dead tail lanes load +0.0f and add
+  // fma(0, 0, s) = s, as in `dot`.
+  const float* rows[kTileRows];
+  for (Index b = 0; b < kTileRows; ++b) rows[b] = k[b < count ? b : 0];
+  __m512 s[kTileRows];
+#pragma GCC unroll 16
+  for (Index b = 0; b < kTileRows; ++b) s[b] = _mm512_setzero_ps();
+  for (Index base = 0; base < n; base += kLanes) {
+    const __mmask16 mk = block_mask(base, n);
+    const __m512 qv = _mm512_maskz_loadu_ps(mk, q + base);
+#pragma GCC unroll 16
+    for (Index b = 0; b < kTileRows; ++b) {
+      s[b] = _mm512_fmadd_ps(qv, _mm512_maskz_loadu_ps(mk, rows[b] + base), s[b]);
+    }
+  }
+  __m512 w = _mm512_mul_ps(reduce_add16x16(s), _mm512_set1_ps(scale));
+  if (gate != nullptr) w = _mm512_mul_ps(w, _mm512_maskz_loadu_ps(live, gate));
+
+  // Running max, lane b = max(m, w[0..b]) with `s > run ? s : run` per
+  // step: a prefix scan whose operator keeps the earlier value on ties
+  // (max_ps(later, earlier)), seeded with m in every lane. Seeding maps
+  // a NaN score to m (MAXPS returns its second operand on NaN) and dead
+  // lanes scan as -inf, so neither ever wins and no scanned value is NaN.
+  const __m512 neg_inf = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  const __m512 m_old = _mm512_set1_ps(*m);
+  __m512 run = _mm512_max_ps(_mm512_mask_mov_ps(neg_inf, live, w), m_old);
+  run = _mm512_max_ps(run, shift_up<1>(run, neg_inf));
+  run = _mm512_max_ps(run, shift_up<2>(run, neg_inf));
+  run = _mm512_max_ps(run, shift_up<4>(run, neg_inf));
+  run = _mm512_max_ps(run, shift_up<8>(run, neg_inf));
+  const __m512 prev = shift_up<1>(run, m_old);  // the max before each edge
+
+  // softmax_push's exp arguments: (prev - run, w - run), and (0, -inf)
+  // for a -inf score on a still-empty row.
+  const __mmask16 empty = _mm512_mask_cmp_ps_mask(
+      _mm512_cmp_ps_mask(w, neg_inf, _CMP_EQ_OQ), prev, neg_inf, _CMP_EQ_OQ);
+  const __m512 alpha_arg =
+      _mm512_mask_mov_ps(_mm512_sub_ps(prev, run), empty, _mm512_setzero_ps());
+  const __m512 beta_arg = _mm512_mask_mov_ps(_mm512_sub_ps(w, run), empty, neg_inf);
+  alignas(64) float alpha[kTileRows];
+  alignas(64) float beta[kTileRows];
+  _mm512_store_ps(alpha, exp16(alpha_arg));
+  _mm512_store_ps(beta, exp16(beta_arg));
+
+  float lv = *l;
+  for (Index b = 0; b < count; ++b) {
+    lv = alpha[b] == 1.0f ? lv + beta[b] : lv * alpha[b] + beta[b];
+  }
+  *l = lv;
+  // Dead lanes scan as -inf, so the last lane holds the last edge's max.
+  *m = _mm512_cvtss_f32(_mm512_permutexvar_ps(_mm512_set1_epi32(kTileRows - 1), run));
+
+  // Column blocks outside, edges inside: acc is loaded and stored once
+  // per tile, and every lane still sees axpy's or axpby's update, edge
+  // by edge in order. Four blocks (64 columns) at a time, so four FMA
   // chains overlap, then one block at a time.
   Index base = 0;
   for (; n - base > 3 * kLanes; base += 4 * kLanes) {
-    fold_blocks<4>(acc, alpha, beta, rows, count, base, block_mask(base + 3 * kLanes, n));
+    fold_blocks<4>(acc, alpha, beta, v, count, base, block_mask(base + 3 * kLanes, n));
   }
   for (; base < n; base += kLanes) {
-    fold_blocks<1>(acc, alpha, beta, rows, count, base, block_mask(base, n));
+    fold_blocks<1>(acc, alpha, beta, v, count, base, block_mask(base, n));
   }
 }
 
@@ -353,8 +433,8 @@ void f2h(half_t* dst, const float* src, Index n) noexcept {
 
 }  // namespace
 
-const VecOps kAvx512Ops = {dot,   axpby,  axpy,    scale,  reduce_max, reduce_sum,
-                           dot_rows, fold_rows,
-                           dot_h, dot_fh, axpby_h, axpy_h, h2f,        f2h};
+const VecOps kAvx512Ops = {dot,    axpby,  axpy,    scale,  reduce_max,
+                           reduce_sum, exp, fold_tile,
+                           dot_h,  dot_fh, axpby_h, axpy_h, h2f, f2h};
 
 }  // namespace gpa::simd::detail

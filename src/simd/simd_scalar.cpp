@@ -5,6 +5,9 @@
 // one lane at a time. The CMake rules compile this translation unit with
 // auto-vectorization and FP contraction disabled, so "scalar" is a true
 // scalar baseline for the differential harness and the bench trajectory.
+// It also holds softmax_push, the one online-softmax step every by-edge
+// fold goes through (simd.hpp): this TU is built for the baseline ISA,
+// so every arm can call it.
 
 #include <limits>
 
@@ -85,6 +88,10 @@ float reduce_max(const float* x, Index n) noexcept {
   return reduce_tree_max(s);
 }
 
+void exp(float* dst, const float* src, Index n) noexcept {
+  for (Index i = 0; i < n; ++i) dst[i] = exp_lane(src[i]);
+}
+
 float reduce_sum(const float* x, Index n) noexcept {
   float s[kLanes] = {};
   Index base = 0;
@@ -153,8 +160,33 @@ void f2h(half_t* dst, const float* src, Index n) noexcept {
 
 }  // namespace
 
-const VecOps kScalarOps = {dot,   axpby,  axpy,   scale,  reduce_max, reduce_sum,
-                           dot_rows_by_row<dot>, fold_rows_by_row<axpy, axpby>,
-                           dot_h, dot_fh, axpby_h, axpy_h, h2f,        f2h};
+const VecOps kScalarOps = {dot,    axpby,  axpy,   scale,  reduce_max,
+                           reduce_sum, exp, fold_tile_by_edge<dot, exp, axpy, axpby>,
+                           dot_h,  dot_fh, axpby_h, axpy_h, h2f, f2h};
 
 }  // namespace gpa::simd::detail
+
+namespace gpa::simd {
+
+void softmax_push(ExpFn exp, const float* s, Index n, float& m, float& l, float* alpha,
+                  float* beta) noexcept {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  // The exp arguments get their own arrays: alpha and beta are written
+  // only by `exp`.
+  float alpha_arg[kTileRows] = {};
+  float beta_arg[kTileRows] = {};
+  float run = m;
+  for (Index b = 0; b < n; ++b) {
+    const float m_new = s[b] > run ? s[b] : run;
+    const bool empty = s[b] == kNegInf && run == kNegInf;
+    alpha_arg[b] = empty ? 0.0f : run - m_new;
+    beta_arg[b] = empty ? kNegInf : s[b] - m_new;
+    run = m_new;
+  }
+  exp(alpha, alpha_arg, n);
+  exp(beta, beta_arg, n);
+  for (Index b = 0; b < n; ++b) l = alpha[b] == 1.0f ? l + beta[b] : l * alpha[b] + beta[b];
+  m = run;
+}
+
+}  // namespace gpa::simd

@@ -14,7 +14,8 @@ void softmax_rows(Matrix<float>& scores, SimdLevel level) {
       for (Index j = 0; j < cols; ++j) row[j] = 0.0f;
       continue;
     }
-    for (Index j = 0; j < cols; ++j) row[j] = std::exp(row[j] - m);
+    for (Index j = 0; j < cols; ++j) row[j] -= m;
+    vo.exp(row, row, cols);
     const float l = vo.reduce_sum(row, cols);
     vo.scale(row, 1.0f / l, cols);
   }
@@ -31,22 +32,13 @@ float online_softmax_fold_tile(OnlineSoftmaxRow& osr, float* scores, Index n,
     for (Index j = 0; j < n; ++j) scores[j] = 0.0f;
     return 1.0f;
   }
-  const float alpha = std::exp(osr.m - m_new);
-  for (Index j = 0; j < n; ++j) scores[j] = std::exp(scores[j] - m_new);
+  float alpha = osr.m - m_new;
+  vo.exp(&alpha, &alpha, 1);
+  for (Index j = 0; j < n; ++j) scores[j] -= m_new;
+  vo.exp(scores, scores, n);
   osr.l = osr.l * alpha + vo.reduce_sum(scores, n);
   osr.m = m_new;
   return alpha;
-}
-
-MergedState merge_online_states(float m_a, float l_a, float m_b, float l_b) noexcept {
-  const float m = m_a > m_b ? m_a : m_b;
-  if (m == -std::numeric_limits<float>::infinity()) {
-    // Both sides empty.
-    return {m, 0.0f, 0.0f, 0.0f};
-  }
-  const float ca = std::exp(m_a - m);
-  const float cb = std::exp(m_b - m);
-  return {m, l_a * ca + l_b * cb, ca, cb};
 }
 
 }  // namespace gpa

@@ -1,6 +1,6 @@
 // Tests for the benchmark harness itself: statistics, the paper's
 // warmup/iteration protocol, table/CSV rendering, and flag parsing —
-// the credibility of EXPERIMENTS.md rests on these being right.
+// every bench table and JSON record rests on these being right.
 
 #include <gtest/gtest.h>
 

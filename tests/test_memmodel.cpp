@@ -63,7 +63,7 @@ TEST(Table2Fp16Dk64, MatchesPaperColumns) {
   expect_near_paper(max_context_length(Algo::Coo, kA100, c), 9'009'893, 2e-3, "COO");
   // The paper's CSR-FP16 cell (14,013,926) implies 4 bytes/nnz, which is
   // inconsistent with its own COO-FP16 cell (10 bytes/nnz); our
-  // self-consistent accounting gives 6 bytes/nnz. See EXPERIMENTS.md.
+  // self-consistent accounting gives 6 bytes/nnz, so a shorter length.
   const Index csr = max_context_length(Algo::Csr, kA100, c);
   EXPECT_GT(csr, 11'000'000);
   EXPECT_LT(csr, 14'013'926);

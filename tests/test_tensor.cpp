@@ -187,7 +187,8 @@ TEST(OnlineSoftmaxTest, MatchesTwoPassSoftmax) {
   OnlineSoftmaxRow osr;
   float acc = 0.0f;  // accumulate a scalar "value" of 1 per entry -> acc == l
   for (const float w : scores) {
-    const auto [alpha, beta] = osr.push(w);
+    float alpha = 0.0f, beta = 0.0f;
+    osr.push_each(&w, 1, &alpha, &beta, simd::ops(SimdLevel::Auto));
     acc = acc * alpha + beta * 1.0f;
   }
   // Two-pass.
@@ -207,35 +208,13 @@ TEST(OnlineSoftmaxTest, EmptyRowYieldsZeroNormaliser) {
 
 TEST(OnlineSoftmaxTest, NegInfScoreOnEmptyRowIsIgnored) {
   OnlineSoftmaxRow osr;
-  const auto [alpha, beta] = osr.push(-std::numeric_limits<float>::infinity());
+  const float w = -std::numeric_limits<float>::infinity();
+  float alpha = 0.0f, beta = 1.0f;
+  osr.push_each(&w, 1, &alpha, &beta, simd::ops(SimdLevel::Auto));
   EXPECT_EQ(alpha, 1.0f);
   EXPECT_EQ(beta, 0.0f);
   EXPECT_EQ(osr.l, 0.0f);
-}
-
-TEST(OnlineSoftmaxTest, MergeAgreesWithSequentialFold) {
-  const float part1[] = {0.5f, 1.5f};
-  const float part2[] = {2.5f, -0.5f, 0.1f};
-  OnlineSoftmaxRow a, b, whole;
-  for (const float w : part1) {
-    a.push(w);
-    whole.push(w);
-  }
-  for (const float w : part2) {
-    b.push(w);
-    whole.push(w);
-  }
-  const MergedState ms = merge_online_states(a.m, a.l, b.m, b.l);
-  EXPECT_NEAR(ms.m, whole.m, 1e-6f);
-  EXPECT_NEAR(ms.l, whole.l, 1e-5f);
-}
-
-TEST(OnlineSoftmaxTest, MergeOfTwoEmptyStatesIsEmpty) {
-  const float ninf = -std::numeric_limits<float>::infinity();
-  const MergedState ms = merge_online_states(ninf, 0.0f, ninf, 0.0f);
-  EXPECT_EQ(ms.l, 0.0f);
-  EXPECT_EQ(ms.coeff_a, 0.0f);
-  EXPECT_EQ(ms.coeff_b, 0.0f);
+  EXPECT_EQ(osr.m, w);
 }
 
 }  // namespace
