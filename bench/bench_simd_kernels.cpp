@@ -1,12 +1,14 @@
 // SIMD backend before/after evidence: single-thread throughput of every
-// vectorized kernel under each dispatch tier (scalar, avx2, avx2-fma,
+// vectorized kernel under each dispatch tier (scalar, avx2-fma,
 // avx512), with a machine-readable BENCH_kernels.json so future PRs can
 // track the perf trajectory (median seconds, estimated GB/s and Gflop/s
-// per cell).
+// per cell). Every tier computes the same bits; the scalar tier runs the
+// contract's FMAs as libm std::fma calls, so its cells are several times
+// slower than a plain scalar loop and are not a SIMD speed-up baseline.
 //
 //   ./bench_simd_kernels [--smoke] [--json BENCH_kernels.json] [--csv f]
 //
-// The sweep REQUESTS all four arms unconditionally and records both the
+// The sweep REQUESTS all three arms unconditionally and records both the
 // requested and the RESOLVED level per cell: on a host lacking an ISA
 // the request clamps down and the cell shows the clamped level instead
 // of going missing, so a trajectory diff can tell "slower" from "didn't
@@ -67,8 +69,8 @@ Inputs make_inputs(Index L, Index d, std::uint64_t seed) {
 /// The REQUESTED axis: every tier, whether or not this build/CPU can
 /// run it — unavailable requests clamp and record the resolved level.
 std::vector<SimdLevel> levels_under_test() {
-  const std::vector<SimdLevel> requested = {SimdLevel::Scalar, SimdLevel::Avx2,
-                                            SimdLevel::Avx2Fma, SimdLevel::Avx512};
+  const std::vector<SimdLevel> requested = {SimdLevel::Scalar, SimdLevel::Avx2Fma,
+                                            SimdLevel::Avx512};
   if (simd::available_levels().size() == 1) {
     std::cout << "note: only the scalar arm is available on this build/CPU; "
                  "vector-tier cells will record their clamped level\n";

@@ -14,7 +14,7 @@ namespace gpa::benchutil {
 struct KernelBenchRecord {
   std::string kernel;  ///< e.g. "csr_online_softmax"
   /// Dispatch arm the cell ACTUALLY ran under, after the silent clamp
-  /// ("scalar"/"avx2"/"avx2-fma"/"avx512").
+  /// ("scalar"/"avx2-fma"/"avx512").
   std::string simd;
   /// Arm the sweep REQUESTED for this cell. On a host lacking the ISA,
   /// simd != simd_requested and the cell is a visible clamped record

@@ -24,8 +24,8 @@ Csr<float> sddmm(const Matrix<T>& q, const Matrix<T>& k, const Csr<float>& mask,
   s.values.resize(mask.nnz());
   const Index d = q.cols();
   // The Q·K dots go through the dispatched vector ops on the float
-  // path (same lane contract as the fused kernels, so both arms stay
-  // bit-identical); half storage keeps the scalar convert loop (F16C
+  // path (same lane contract as the fused kernels, so every arm gives
+  // the same bits); half storage keeps the scalar convert loop (F16C
   // open, as in kernel_common's fold).
   const simd::VecOps& vo = simd::ops(policy.simd);
 
@@ -51,9 +51,8 @@ Csr<float> sddmm(const Matrix<T>& q, const Matrix<T>& k, const Csr<float>& mask,
 
 void csr_row_softmax(Csr<float>& scores, const ExecPolicy& policy) {
   // A CSR row's values are contiguous, so the max / sum / rescale passes
-  // go straight through the dispatched reductions (lane contract: both
-  // bitwise arms bit-identical), and the exp pass through the dispatched
-  // exp (the same bits on every arm).
+  // go straight through the dispatched reductions and the exp pass
+  // through the dispatched exp: the same bits on every arm.
   const simd::VecOps& vo = simd::ops(policy.simd);
   parallel_for(0, scores.rows, policy, [&](Index i) {
     const Index b = scores.row_begin(i);
@@ -76,7 +75,7 @@ void spmm(const Csr<float>& s, const Matrix<T>& v, Matrix<T>& out, const ExecPol
   const Index d = v.cols();
   // The weighted V-row accumulation is the axpy of the fused kernels'
   // fold; float storage rides the dispatched arm (same lane contract,
-  // so scalar and AVX2 dispatch stay bit-identical), half keeps the
+  // so every arm gives the same bits), half keeps the
   // scalar convert-and-accumulate loop (F16C open, as in
   // kernel_common's fold).
   const simd::VecOps& vo = simd::ops(policy.simd);

@@ -2,13 +2,14 @@
 // environment override, process-wide forced level for tests/benchmarks,
 // and the table lookup every kernel resolves through.
 //
-// Clamp semantics: levels are totally ordered (Scalar < Avx2 < Avx2Fma
-// < Avx512) and a request the build or CPU cannot honour resolves to
-// the BEST AVAILABLE level at or below it — e.g. Avx512 on an AVX2-only
-// host runs the avx2-fma arm if compiled, else avx2, else scalar. The
-// clamp is silent (the knob is advisory, never fatal); an unrecognised
-// GPA_SIMD spelling is the one case that warns, once, because it means
-// the operator asked for something that does not exist at all.
+// Clamp semantics: levels are totally ordered (Scalar < Avx2Fma <
+// Avx512) and a request the build or CPU cannot honour resolves to the
+// BEST AVAILABLE level at or below it — e.g. Avx512 on an AVX2-only host
+// runs the avx2-fma arm if compiled, else scalar. Every arm computes the
+// same bits, so the clamp is silent (the knob picks speed, never a
+// result); an unrecognised GPA_SIMD spelling is the one case that warns,
+// once, because it means the operator asked for something that does not
+// exist at all.
 
 #include <atomic>
 #include <cctype>
@@ -37,7 +38,7 @@ SimdLevel env_level() noexcept {
     if (!parse_level(raw, parsed)) {
       std::fprintf(stderr,
                    "gpa: unrecognised GPA_SIMD value \"%s\" "
-                   "(expected scalar|avx2|avx2-fma|avx512|auto); using auto\n",
+                   "(expected scalar|avx2-fma|avx512|auto); using auto\n",
                    raw);
       return SimdLevel::Auto;
     }
@@ -49,7 +50,6 @@ SimdLevel env_level() noexcept {
 bool level_available(SimdLevel level) noexcept {
   switch (level) {
     case SimdLevel::Scalar: return true;
-    case SimdLevel::Avx2: return compiled_with_avx2() && cpu_supports_avx2();
     case SimdLevel::Avx2Fma: return compiled_with_avx2_fma() && cpu_supports_avx2_fma();
     case SimdLevel::Avx512: return compiled_with_avx512() && cpu_supports_avx512();
     case SimdLevel::Auto: break;
@@ -58,8 +58,7 @@ bool level_available(SimdLevel level) noexcept {
 }
 
 /// The ordered axis the clamp walks (descending).
-constexpr SimdLevel kDescending[] = {SimdLevel::Avx512, SimdLevel::Avx2Fma, SimdLevel::Avx2,
-                                     SimdLevel::Scalar};
+constexpr SimdLevel kDescending[] = {SimdLevel::Avx512, SimdLevel::Avx2Fma, SimdLevel::Scalar};
 
 /// Best available level at or below `cap` (Scalar is always available,
 /// so this never fails).
@@ -74,19 +73,12 @@ SimdLevel clamp_down(SimdLevel cap) noexcept {
 
 }  // namespace
 
-bool cpu_supports_avx2() noexcept {
-#if (defined(__x86_64__) || defined(_M_X64)) && (defined(__GNUC__) || defined(__clang__))
-  // The avx2 arm's half ops need F16C. Every AVX2 CPU ever shipped has
-  // it, but probe honestly anyway.
-  return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("f16c") != 0;
-#else
-  return false;
-#endif
-}
-
 bool cpu_supports_avx2_fma() noexcept {
 #if (defined(__x86_64__) || defined(_M_X64)) && (defined(__GNUC__) || defined(__clang__))
-  return cpu_supports_avx2() && __builtin_cpu_supports("fma") != 0;
+  // The half ops need F16C. Every AVX2 CPU ever shipped has it, but
+  // probe honestly anyway.
+  return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("fma") != 0 &&
+         __builtin_cpu_supports("f16c") != 0;
 #else
   return false;
 #endif
@@ -95,14 +87,6 @@ bool cpu_supports_avx2_fma() noexcept {
 bool cpu_supports_avx512() noexcept {
 #if (defined(__x86_64__) || defined(_M_X64)) && (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-}
-
-bool compiled_with_avx2() noexcept {
-#if defined(GPA_SIMD_AVX2)
-  return true;
 #else
   return false;
 #endif
@@ -138,11 +122,6 @@ SimdLevel resolve(SimdLevel requested) noexcept {
   return clamp_down(requested);
 }
 
-bool is_bitwise_level(SimdLevel level) noexcept {
-  const SimdLevel r = resolve(level);
-  return r == SimdLevel::Scalar || r == SimdLevel::Avx2;
-}
-
 const VecOps& ops(SimdLevel level) noexcept {
   switch (resolve(level)) {
 #if defined(GPA_SIMD_AVX512)
@@ -151,17 +130,13 @@ const VecOps& ops(SimdLevel level) noexcept {
 #if defined(GPA_SIMD_AVX2_FMA)
     case SimdLevel::Avx2Fma: return detail::kAvx2FmaOps;
 #endif
-#if defined(GPA_SIMD_AVX2)
-    case SimdLevel::Avx2: return detail::kAvx2Ops;
-#endif
     default: return detail::kScalarOps;
   }
 }
 
 std::vector<SimdLevel> available_levels() {
   std::vector<SimdLevel> levels;
-  for (const SimdLevel l :
-       {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx2Fma, SimdLevel::Avx512}) {
+  for (const SimdLevel l : {SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512}) {
     if (level_available(l)) levels.push_back(l);
   }
   return levels;
@@ -169,7 +144,6 @@ std::vector<SimdLevel> available_levels() {
 
 std::vector<SimdLevel> compiled_levels() {
   std::vector<SimdLevel> levels{SimdLevel::Scalar};
-  if (compiled_with_avx2()) levels.push_back(SimdLevel::Avx2);
   if (compiled_with_avx2_fma()) levels.push_back(SimdLevel::Avx2Fma);
   if (compiled_with_avx512()) levels.push_back(SimdLevel::Avx512);
   return levels;
@@ -179,7 +153,6 @@ std::string_view level_name(SimdLevel level) noexcept {
   switch (level) {
     case SimdLevel::Auto: return "auto";
     case SimdLevel::Scalar: return "scalar";
-    case SimdLevel::Avx2: return "avx2";
     case SimdLevel::Avx2Fma: return "avx2-fma";
     case SimdLevel::Avx512: return "avx512";
   }
@@ -193,8 +166,6 @@ bool parse_level(std::string_view name, SimdLevel& out) noexcept {
     out = SimdLevel::Auto;
   } else if (value == "scalar") {
     out = SimdLevel::Scalar;
-  } else if (value == "avx2") {
-    out = SimdLevel::Avx2;
   } else if (value == "avx2-fma" || value == "avx2fma" || value == "fma") {
     out = SimdLevel::Avx2Fma;
   } else if (value == "avx512") {

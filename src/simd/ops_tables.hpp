@@ -11,8 +11,8 @@ namespace gpa::simd::detail {
 
 // --- The exp lane definition (simd.hpp, "THE EXP") --------------------
 // Every arm's `exp` computes exp_lane on each element: the scalar arm
-// calls it, and avx2, avx2-fma and avx512 mirror it op for op with the
-// same constants, operand order and rounding steps. No FMA: every arm's
+// calls it, and avx2-fma and avx512 mirror it op for op with the same
+// constants, operand order and rounding steps. No FMA: every arm's
 // TU is built with -ffp-contract=off.
 
 /// Clamp bounds. exp(kExpHi) rounds to +inf and exp(kExpLo) to +0, so
@@ -95,21 +95,15 @@ void fold_tile_by_edge(const float* q, const float* const* k, const float* const
 /// auto-vectorization off so the differential baseline is honest).
 extern const VecOps kScalarOps;
 
-#if defined(GPA_SIMD_AVX2)
-/// Bitwise AVX2 arm (simd_avx2.cpp — built with -mavx2 -mf16c and
-/// -ffp-contract=off; pinned bit-identical to the scalar arm).
-extern const VecOps kAvx2Ops;
-#endif
-
 #if defined(GPA_SIMD_AVX2_FMA)
-/// Relaxed AVX2+FMA arm (simd_avx2_fma.cpp — -mavx2 -mfma -mf16c,
-/// explicit fused multiply-adds; ULP-bounded vs scalar).
+/// AVX2+FMA arm (simd_avx2_fma.cpp — -mavx2 -mfma -mf16c; the 16-lane
+/// contract as two 8-lane halves).
 extern const VecOps kAvx2FmaOps;
 #endif
 
 #if defined(GPA_SIMD_AVX512)
-/// Relaxed AVX-512 arm (simd_avx512.cpp — -mavx512f, 16 lanes with FMA;
-/// ULP-bounded vs scalar).
+/// AVX-512 arm (simd_avx512.cpp — -mavx512f, the 16-lane contract in one
+/// register).
 extern const VecOps kAvx512Ops;
 #endif
 

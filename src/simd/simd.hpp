@@ -11,19 +11,42 @@
 // composition of that arm's own `dot`, `exp`, `axpy` and `axpby`
 // through softmax_push (NaN payloads aside). A tile changes how much
 // work one call does, never a rounding. This layer provides those
-// primitives behind a function-pointer table with four arms:
+// primitives behind a function-pointer table with three arms:
 //
 //  * scalar   — the always-compiled portable reference (compiled with
 //    auto-vectorization disabled so "scalar" means scalar),
-//  * avx2     — 8-lane AVX2 + F16C intrinsics, no FMA contraction,
-//    compiled into a dedicated translation unit with -mavx2 -mf16c,
-//  * avx2-fma — the same 8-lane shape with fused multiply-adds in the
-//    dot / accumulate kernels (-mavx2 -mfma -mf16c), and
+//  * avx2-fma — AVX2 + FMA + F16C (-mavx2 -mfma -mf16c), running the
+//    16-lane contract below as two 8-lane halves, and
 //  * avx512   — 16-lane AVX-512F with FMA (-mavx512f), behind the
 //    GPA_ENABLE_AVX512 CMake gate.
 // The library itself stays runnable on any x86-64; arms are picked at
 // runtime (cpuid + GPA_SIMD env + ExecPolicy::simd), and an unavailable
 // request clamps down to the best level at or below it.
+//
+// THE LANE CONTRACT — one parity class. Every arm computes the same
+// bits on every input (NaN payloads of arithmetic results aside), so
+// the bit-exact gates (decode == kernel, cluster == sim_cluster,
+// deduped == undeduped, exec-matrix determinism) hold across arms, and
+// tests/test_simd_parity.cpp checks every arm against scalar at 0 ULP:
+//  * There are 16 lanes; lane l takes elements l, l+16, l+32, ... In a
+//    tail block, dead lanes contribute fma(0, 0, s) to dots, +0 to sums
+//    and -inf to max.
+//  * A dot step is s = fma(a, b, s), rounded once.
+//  * axpy is acc = fma(beta, v, acc); axpby is acc = fma(acc, alpha,
+//    beta·v), with beta·v rounded first.
+//  * Every sum ends in one tree: s_l = s_{l+8} + s_l (high 8 + low 8),
+//    then s_l = s_{l+4} + s_l, then (s_0 + s_2) + (s_1 + s_3).
+//  * reduce_max runs the same tree with MAXPS ("a > b ? a : b") at each
+//    node, the first operand as written: the higher half first, then
+//    s_0 before s_2, s_1 before s_3 and the [0] pair before the [1].
+//    The order matters for NaN and for signed zeros: MAXPS returns its
+//    second operand on NaN and on +0 vs -0.
+//  * scale is x·s; exp, h2f and f2h are element-wise (below).
+// scalar emulates the contract with std::fma over 16 lane accumulators
+// (on x86-64 a libm call per step, so it is the slowest arm by far);
+// avx2-fma keeps one ymm accumulator for lanes 0-7 and one for lanes
+// 8-15; avx512 runs it natively. No TU lets the compiler contract a·b+c
+// (every one is built with -ffp-contract=off): the FMAs are explicit.
 //
 // THE EXP: `exp` is the program's only softmax exp (reference_attention
 // keeps std::exp as the independent oracle). It is one lane definition,
@@ -32,44 +55,16 @@
 // round-to-nearest-even(x·log2e) through the 1.5·2^23 shifter, a
 // two-constant ln2 reduction, Cephes' degree-5 polynomial, and a
 // two-step 2^n scale so a subnormal result rounds once. It has no lanes,
-// no reductions and no FMA (every vector TU is built with
-// -ffp-contract=off), so it has THE SAME BITS ON EVERY ARM, in both
-// parity classes below, and stays within 1 ULP of the correctly rounded
-// exp (tests/test_exp_exhaustive.cpp checks all 2^32 inputs).
-//
-// PARITY CLASSES (load-bearing for the differential test harness):
-//
-// BITWISE arms — scalar and avx2. Both compute reductions under THE
-// LANE CONTRACT: eight partial accumulators in lane order (lane l
-// accumulates elements l, l+8, l+16, ...), a masked tail block, and the
-// same pairwise reduction tree
-//     t_l = op(s_l, s_{l+4});  u_0 = op(t_0, t_2); u_1 = op(t_1, t_3);
-//     result = op(u_0, u_1)
-// with no FMA contraction anywhere (both units are built with
-// -ffp-contract=off). Element-wise ops use the same expression shape and
-// operand order in both arms. Consequence: the scalar and AVX2 arms are
-// bit-identical on every input, which tests/test_simd_parity.cpp pins
-// down and which keeps the bit-exact gates (decode-vs-kernel, cluster
-// oracle, exec-matrix determinism) independent of the dispatch decision
-// between the bitwise arms.
-//
-// RELAXED arms — avx2-fma and avx512. An FMA rounds a·b+c once where
-// the contract rounds twice, and 16 lanes reassociate every reduction,
-// so these arms CANNOT be bitwise vs scalar; each is instead (a) still
-// deterministic — the same inputs on the same arm give the same bits,
-// run-to-run and schedule-to-schedule — and (b) ULP-bounded against the
-// scalar reference, with bounds derived per reduction length in
-// tests/test_simd_parity.cpp. Bit-exact gates must run on a bitwise arm
-// (they force one); throughput paths take the relaxed arms by default.
-// exp, scale, reduce_max, h2f and f2h do no reassociated additions and
-// no FMA, so they stay bitwise across all four arms.
+// no reductions and no FMA, and stays within 1 ULP of the correctly
+// rounded exp (tests/test_exp_exhaustive.cpp checks all 2^32 inputs on
+// every arm).
 //
 // FP16 ops: arithmetic is always float — half values are widened on
 // load (exactly: binary16 -> binary32 is lossless, in software and in
-// VCVTPH2PS) and accumulated in fp32, so the half dot/accumulate ops on
-// the bitwise arms are ALSO bit-identical to each other. f2h narrows
-// with round-to-nearest-even, matching common/half.hpp's software
-// converter bit-for-bit (test_half_exhaustive pins software == F16C).
+// VCVTPH2PS) and accumulated in fp32, so the half dot/accumulate ops are
+// the float ops over the widened values. f2h narrows with
+// round-to-nearest-even, matching common/half.hpp's software converter
+// bit-for-bit (test_half_exhaustive pins software == F16C).
 
 #include <string_view>
 #include <vector>
@@ -90,7 +85,7 @@ using ExpFn = void (*)(float* dst, const float* src, Index n) noexcept;
 /// The dispatch table. All pointers are non-null for every arm.
 /// Reductions over n == 0 return the operation identity (0 for sum/dot,
 /// -inf for max). NaN propagation in reduce_max follows x86 MAXPS
-/// semantics ("a > b ? a : b" per lane) in every arm.
+/// semantics ("a > b ? a : b" per lane, in the contract's tree).
 struct VecOps {
   /// Σ a[i]·b[i] under the lane contract.
   float (*dot)(const float* a, const float* b, Index n) noexcept;
@@ -151,24 +146,20 @@ struct VecOps {
 void softmax_push(ExpFn exp, const float* s, Index n, float& m, float& l, float* alpha,
                   float* beta) noexcept;
 
-/// CPUID says this machine can execute AVX2 + F16C (the avx2 arm's half
-/// ops use VCVTPH2PS/VCVTPS2PH; every AVX2-era core ships F16C).
-bool cpu_supports_avx2() noexcept;
-/// CPUID: AVX2 + FMA + F16C (the avx2-fma arm's ISA set).
+/// CPUID: AVX2 + FMA + F16C (the avx2-fma arm's ISA set; its half ops
+/// use VCVTPH2PS/VCVTPS2PH).
 bool cpu_supports_avx2_fma() noexcept;
 /// CPUID: AVX-512 Foundation.
 bool cpu_supports_avx512() noexcept;
 
 /// This build carries the corresponding translation unit.
-bool compiled_with_avx2() noexcept;
 bool compiled_with_avx2_fma() noexcept;
 bool compiled_with_avx512() noexcept;
 
 /// The level Auto resolves to right now: the forced level if one is set,
-/// else the GPA_SIMD environment variable (scalar|avx2|avx2-fma|avx512|
-/// auto, read once; an unrecognised value warns once on stderr and falls
-/// back to Auto), else the best level available under build + CPU
-/// support.
+/// else the GPA_SIMD environment variable (scalar|avx2-fma|avx512|auto,
+/// read once; an unrecognised value warns once on stderr and falls back
+/// to Auto), else the best level available under build + CPU support.
 SimdLevel active_level() noexcept;
 
 /// Clamp a requested level to what this build + CPU can run: the best
@@ -177,19 +168,13 @@ SimdLevel active_level() noexcept;
 /// callers that must know pin `resolve(x) == x` explicitly.
 SimdLevel resolve(SimdLevel requested) noexcept;
 
-/// True for the arms pinned bit-identical to the scalar reference
-/// (Scalar, Avx2); false for the ULP-bounded relaxed arms. Auto is
-/// classified by what it currently resolves to.
-bool is_bitwise_level(SimdLevel level) noexcept;
-
 /// Dispatch table for a level (resolved first).
 const VecOps& ops(SimdLevel level) noexcept;
 
 /// Every level this build + CPU can actually run, Scalar first, in
 /// ascending level order — THE canonical SIMD axis for tests and
 /// benchmarks to iterate (new arms only need to be added here to enter
-/// every matrix). Includes the relaxed arms: iterators that require
-/// bitwise parity must filter with is_bitwise_level().
+/// every matrix).
 std::vector<SimdLevel> available_levels();
 
 /// Every level this build compiled an arm for, whether or not this CPU
@@ -201,7 +186,7 @@ std::vector<SimdLevel> compiled_levels();
 /// per-call levels (ExecPolicy::simd != Auto) are unaffected.
 void force_level(SimdLevel level) noexcept;
 
-/// "auto" / "scalar" / "avx2" / "avx2-fma" / "avx512".
+/// "auto" / "scalar" / "avx2-fma" / "avx512".
 std::string_view level_name(SimdLevel level) noexcept;
 
 /// Parse a level name as level_name() and the GPA_SIMD env var spell it.

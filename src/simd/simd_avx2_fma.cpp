@@ -1,13 +1,12 @@
-// Relaxed AVX2+FMA arm of the SIMD dispatch — compiled with
-// -mavx2 -mfma -mf16c -ffp-contract=off. Same 8-lane shape, masked
-// tails, and pairwise reduction tree as the bitwise avx2 arm, but every
-// multiply-accumulate of the dot / accumulate ops is an explicit
-// _mm256_fmadd_ps: a·b+c rounds ONCE where the lane contract rounds
-// twice, so this arm is deterministic but only ULP-bounded against the
-// scalar reference (tests/test_simd_parity.cpp derives and pins the
-// bounds). scale / reduce_max / reduce_sum / exp contain no fused
-// mul+add and remain bit-identical to the bitwise arms; contraction is
-// off so the compiler cannot fuse exp's separate mul and add.
+// AVX2+FMA arm of the SIMD dispatch — compiled with -mavx2 -mfma -mf16c
+// -ffp-contract=off. It runs the lane contract (simd.hpp) as two 8-lane
+// halves: every reduction keeps one ymm accumulator for lanes 0-7 and
+// one for lanes 8-15 of each 16-element block, and finishes in the
+// contract's tree from "high 8 + low 8" on, so its dots, sums and maxes
+// equal the avx512 arm's bit for bit. The element-wise ops need no
+// lanes: their FMAs are the contract's, one element at a time. Every
+// FMA is an explicit intrinsic; contraction is off so the compiler
+// cannot fuse exp's separate mul and add.
 
 #if !defined(GPA_SIMD_AVX2_FMA)
 #error "simd_avx2_fma.cpp must only be compiled when GPA_SIMD_AVX2_FMA is defined"
@@ -15,6 +14,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -23,85 +23,105 @@
 namespace gpa::simd::detail {
 namespace {
 
+/// Lanes per register; the contract's 16-element block is two of them.
 constexpr Index kLanes = 8;
+constexpr Index kBlock = 2 * kLanes;
 
 inline __m256i tail_mask(Index r) noexcept {
   const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(r)), lane_ids);
 }
 
-inline float reduce_tree_add(__m256 s) noexcept {
-  const __m128 lo = _mm256_castps256_ps128(s);
-  const __m128 hi = _mm256_extractf128_ps(s, 1);
-  const __m128 t = _mm_add_ps(lo, hi);
-  const __m128 u = _mm_add_ps(t, _mm_movehl_ps(t, t));
-  return _mm_cvtss_f32(_mm_add_ss(u, _mm_shuffle_ps(u, u, 0x1)));
+/// The contract's tree from "high 8 + low 8" on, over lanes 0-7 in lo
+/// and lanes 8-15 in hi: the avx512 arm's reduce_add16 after its first
+/// extract.
+inline float reduce_add16(__m256 lo, __m256 hi) noexcept {
+  const __m256 t3 = _mm256_add_ps(hi, lo);
+  const __m128 t6 = _mm_add_ps(_mm256_extractf128_ps(t3, 1), _mm256_castps256_ps128(t3));
+  const __m128 t8 = _mm_add_ps(t6, _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(_mm_add_ss(t8, _mm_shuffle_ps(t8, t8, _MM_SHUFFLE(1, 1, 1, 1))));
 }
 
-inline float reduce_tree_max(__m256 s) noexcept {
-  const __m128 lo = _mm256_castps256_ps128(s);
-  const __m128 hi = _mm256_extractf128_ps(s, 1);
-  const __m128 t = _mm_max_ps(lo, hi);
-  const __m128 u = _mm_max_ps(t, _mm_movehl_ps(t, t));
-  return _mm_cvtss_f32(_mm_max_ss(u, _mm_shuffle_ps(u, u, 0x1)));
+/// reduce_add16's tree with MAXPS at every node.
+inline float reduce_max16(__m256 lo, __m256 hi) noexcept {
+  const __m256 t3 = _mm256_max_ps(hi, lo);
+  const __m128 t6 = _mm_max_ps(_mm256_extractf128_ps(t3, 1), _mm256_castps256_ps128(t3));
+  const __m128 t8 = _mm_max_ps(t6, _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(_mm_max_ss(t8, _mm_shuffle_ps(t8, t8, _MM_SHUFFLE(1, 1, 1, 1))));
 }
 
-inline __m256 load_h8(const half_t* p) noexcept {
+/// Eight elements from p as floats (halfs widen exactly).
+inline __m256 load8(const float* p) noexcept { return _mm256_loadu_ps(p); }
+
+inline __m256 load8(const half_t* p) noexcept {
   __m128i raw;
   std::memcpy(&raw, p, sizeof raw);
   return _mm256_cvtph_ps(raw);
 }
 
-inline __m256 load_h_tail(const half_t* p, Index r) noexcept {
+/// Elements [i, i + 8) of p[0..n) as floats, in a tail block (n - i <
+/// 16): dead lanes, and every lane when i >= n, hold +0.
+inline __m256 tail8(const float* p, Index i, Index n) noexcept {
+  return i < n ? _mm256_maskload_ps(p + i, tail_mask(n - i)) : _mm256_setzero_ps();
+}
+
+inline __m256 tail8(const half_t* p, Index i, Index n) noexcept {
   alignas(16) std::uint16_t buf[8] = {};
-  std::memcpy(buf, p, static_cast<std::size_t>(r) * sizeof(std::uint16_t));
+  if (i < n) {
+    std::memcpy(buf, p + i, static_cast<std::size_t>(std::min(n - i, kLanes)) * sizeof buf[0]);
+  }
   return _mm256_cvtph_ps(_mm_load_si128(reinterpret_cast<const __m128i*>(buf)));
 }
 
-float dot(const float* a, const float* b, Index n) noexcept {
-  __m256 s = _mm256_setzero_ps();
+/// Σ widen(a[i])·widen(b[i]): dot, dot_h and dot_fh. Dead tail lanes
+/// load +0 and add fma(0, 0, s).
+template <typename A, typename B>
+float dot(const A* a, const B* b, Index n) noexcept {
+  __m256 lo = _mm256_setzero_ps();
+  __m256 hi = _mm256_setzero_ps();
   Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    s = _mm256_fmadd_ps(_mm256_loadu_ps(a + base), _mm256_loadu_ps(b + base), s);
+  for (; base + kBlock <= n; base += kBlock) {
+    lo = _mm256_fmadd_ps(load8(a + base), load8(b + base), lo);
+    hi = _mm256_fmadd_ps(load8(a + base + kLanes), load8(b + base + kLanes), hi);
   }
   if (base < n) {
-    const __m256i mask = tail_mask(n - base);
-    const __m256 av = _mm256_maskload_ps(a + base, mask);
-    const __m256 bv = _mm256_maskload_ps(b + base, mask);
-    s = _mm256_fmadd_ps(av, bv, s);  // dead lanes contribute fma(0,0,s) = s
+    lo = _mm256_fmadd_ps(tail8(a, base, n), tail8(b, base, n), lo);
+    hi = _mm256_fmadd_ps(tail8(a, base + kLanes, n), tail8(b, base + kLanes, n), hi);
   }
-  return reduce_tree_add(s);
+  return reduce_add16(lo, hi);
 }
 
-void axpby(float* acc, float alpha, float beta, const float* v, Index n) noexcept {
+/// acc[i] = fma(acc[i], alpha, beta·widen(v[i])): axpby and axpby_h.
+template <typename V>
+void axpby(float* acc, float alpha, float beta, const V* v, Index n) noexcept {
   const __m256 va = _mm256_set1_ps(alpha);
   const __m256 vb = _mm256_set1_ps(beta);
   Index base = 0;
   for (; base + kLanes <= n; base += kLanes) {
     const __m256 accv = _mm256_loadu_ps(acc + base);
-    const __m256 vv = _mm256_loadu_ps(v + base);
-    _mm256_storeu_ps(acc + base, _mm256_fmadd_ps(accv, va, _mm256_mul_ps(vb, vv)));
+    _mm256_storeu_ps(acc + base, _mm256_fmadd_ps(accv, va, _mm256_mul_ps(vb, load8(v + base))));
   }
   if (base < n) {
     const __m256i mask = tail_mask(n - base);
     const __m256 accv = _mm256_maskload_ps(acc + base, mask);
-    const __m256 vv = _mm256_maskload_ps(v + base, mask);
-    _mm256_maskstore_ps(acc + base, mask, _mm256_fmadd_ps(accv, va, _mm256_mul_ps(vb, vv)));
+    _mm256_maskstore_ps(acc + base, mask,
+                        _mm256_fmadd_ps(accv, va, _mm256_mul_ps(vb, tail8(v, base, n))));
   }
 }
 
-void axpy(float* acc, float beta, const float* v, Index n) noexcept {
+/// acc[i] = fma(beta, widen(v[i]), acc[i]): axpy and axpy_h.
+template <typename V>
+void axpy(float* acc, float beta, const V* v, Index n) noexcept {
   const __m256 vb = _mm256_set1_ps(beta);
   Index base = 0;
   for (; base + kLanes <= n; base += kLanes) {
     const __m256 accv = _mm256_loadu_ps(acc + base);
-    _mm256_storeu_ps(acc + base, _mm256_fmadd_ps(vb, _mm256_loadu_ps(v + base), accv));
+    _mm256_storeu_ps(acc + base, _mm256_fmadd_ps(vb, load8(v + base), accv));
   }
   if (base < n) {
     const __m256i mask = tail_mask(n - base);
     const __m256 accv = _mm256_maskload_ps(acc + base, mask);
-    const __m256 vv = _mm256_maskload_ps(v + base, mask);
-    _mm256_maskstore_ps(acc + base, mask, _mm256_fmadd_ps(vb, vv, accv));
+    _mm256_maskstore_ps(acc + base, mask, _mm256_fmadd_ps(vb, tail8(v, base, n), accv));
   }
 }
 
@@ -119,18 +139,25 @@ void scale(float* x, float s, Index n) noexcept {
 }
 
 float reduce_max(const float* x, Index n) noexcept {
-  __m256 s = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  const __m256 neg_inf = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  // tail8 with dead lanes -inf, the max identity.
+  const auto tail = [&](Index i) {
+    if (i >= n) return neg_inf;
+    const __m256i mask = tail_mask(n - i);
+    return _mm256_blendv_ps(neg_inf, _mm256_maskload_ps(x + i, mask), _mm256_castsi256_ps(mask));
+  };
+  __m256 lo = neg_inf;
+  __m256 hi = neg_inf;
   Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    s = _mm256_max_ps(s, _mm256_loadu_ps(x + base));
+  for (; base + kBlock <= n; base += kBlock) {
+    lo = _mm256_max_ps(lo, _mm256_loadu_ps(x + base));
+    hi = _mm256_max_ps(hi, _mm256_loadu_ps(x + base + kLanes));
   }
   if (base < n) {
-    const __m256i mask = tail_mask(n - base);
-    const __m256 loaded = _mm256_maskload_ps(x + base, mask);
-    const __m256 neg_inf = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
-    s = _mm256_max_ps(s, _mm256_blendv_ps(neg_inf, loaded, _mm256_castsi256_ps(mask)));
+    lo = _mm256_max_ps(lo, tail(base));
+    hi = _mm256_max_ps(hi, tail(base + kLanes));
   }
-  return reduce_tree_max(s);
+  return reduce_max16(lo, hi);
 }
 
 /// exp_lane (ops_tables.hpp) on eight lanes, op for op: no FMA.
@@ -171,86 +198,27 @@ void exp(float* dst, const float* src, Index n) noexcept {
 }
 
 float reduce_sum(const float* x, Index n) noexcept {
-  __m256 s = _mm256_setzero_ps();
+  __m256 lo = _mm256_setzero_ps();
+  __m256 hi = _mm256_setzero_ps();
   Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    s = _mm256_add_ps(s, _mm256_loadu_ps(x + base));
+  for (; base + kBlock <= n; base += kBlock) {
+    lo = _mm256_add_ps(lo, _mm256_loadu_ps(x + base));
+    hi = _mm256_add_ps(hi, _mm256_loadu_ps(x + base + kLanes));
   }
   if (base < n) {
-    s = _mm256_add_ps(s, _mm256_maskload_ps(x + base, tail_mask(n - base)));
+    lo = _mm256_add_ps(lo, tail8(x, base, n));
+    hi = _mm256_add_ps(hi, tail8(x, base + kLanes, n));
   }
-  return reduce_tree_add(s);
-}
-
-float dot_h(const half_t* a, const half_t* b, Index n) noexcept {
-  __m256 s = _mm256_setzero_ps();
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    s = _mm256_fmadd_ps(load_h8(a + base), load_h8(b + base), s);
-  }
-  if (base < n) {
-    const Index r = n - base;
-    s = _mm256_fmadd_ps(load_h_tail(a + base, r), load_h_tail(b + base, r), s);
-  }
-  return reduce_tree_add(s);
-}
-
-float dot_fh(const float* a, const half_t* b, Index n) noexcept {
-  __m256 s = _mm256_setzero_ps();
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    s = _mm256_fmadd_ps(_mm256_loadu_ps(a + base), load_h8(b + base), s);
-  }
-  if (base < n) {
-    const Index r = n - base;
-    const __m256 av = _mm256_maskload_ps(a + base, tail_mask(r));
-    s = _mm256_fmadd_ps(av, load_h_tail(b + base, r), s);
-  }
-  return reduce_tree_add(s);
-}
-
-void axpby_h(float* acc, float alpha, float beta, const half_t* v, Index n) noexcept {
-  const __m256 va = _mm256_set1_ps(alpha);
-  const __m256 vb = _mm256_set1_ps(beta);
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    const __m256 accv = _mm256_loadu_ps(acc + base);
-    _mm256_storeu_ps(acc + base,
-                     _mm256_fmadd_ps(accv, va, _mm256_mul_ps(vb, load_h8(v + base))));
-  }
-  if (base < n) {
-    const Index r = n - base;
-    const __m256i mask = tail_mask(r);
-    const __m256 accv = _mm256_maskload_ps(acc + base, mask);
-    _mm256_maskstore_ps(acc + base, mask,
-                        _mm256_fmadd_ps(accv, va, _mm256_mul_ps(vb, load_h_tail(v + base, r))));
-  }
-}
-
-void axpy_h(float* acc, float beta, const half_t* v, Index n) noexcept {
-  const __m256 vb = _mm256_set1_ps(beta);
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    const __m256 accv = _mm256_loadu_ps(acc + base);
-    _mm256_storeu_ps(acc + base, _mm256_fmadd_ps(vb, load_h8(v + base), accv));
-  }
-  if (base < n) {
-    const Index r = n - base;
-    const __m256i mask = tail_mask(r);
-    const __m256 accv = _mm256_maskload_ps(acc + base, mask);
-    _mm256_maskstore_ps(acc + base, mask,
-                        _mm256_fmadd_ps(vb, load_h_tail(v + base, r), accv));
-  }
+  return reduce_add16(lo, hi);
 }
 
 void h2f(float* dst, const half_t* src, Index n) noexcept {
   Index base = 0;
   for (; base + kLanes <= n; base += kLanes) {
-    _mm256_storeu_ps(dst + base, load_h8(src + base));
+    _mm256_storeu_ps(dst + base, load8(src + base));
   }
   if (base < n) {
-    const Index r = n - base;
-    _mm256_maskstore_ps(dst + base, tail_mask(r), load_h_tail(src + base, r));
+    _mm256_maskstore_ps(dst + base, tail_mask(n - base), tail8(src, base, n));
   }
 }
 
@@ -273,8 +241,19 @@ void f2h(half_t* dst, const float* src, Index n) noexcept {
 
 }  // namespace
 
-const VecOps kAvx2FmaOps = {dot,    axpby,  axpy,    scale,  reduce_max,
-                            reduce_sum, exp, fold_tile_by_edge<dot, exp, axpy, axpby>,
-                            dot_h,  dot_fh, axpby_h, axpy_h, h2f, f2h};
+const VecOps kAvx2FmaOps = {dot<float, float>,
+                            axpby<float>,
+                            axpy<float>,
+                            scale,
+                            reduce_max,
+                            reduce_sum,
+                            exp,
+                            fold_tile_by_edge<dot<float, float>, exp, axpy<float>, axpby<float>>,
+                            dot<half_t, half_t>,
+                            dot<float, half_t>,
+                            axpby<half_t>,
+                            axpy<half_t>,
+                            h2f,
+                            f2h};
 
 }  // namespace gpa::simd::detail

@@ -1,12 +1,10 @@
-// Relaxed AVX-512 arm of the SIMD dispatch — the only translation unit
-// compiled with -mavx512f, behind the GPA_ENABLE_AVX512 CMake gate, and
-// with -ffp-contract=off so only the explicit FMAs below fuse.
-// Sixteen lanes with explicit fused multiply-adds: both the lane count
-// and the single-rounding FMAs reassociate every reduction relative to
-// the 8-lane contract, so this arm is deterministic (same inputs, same
-// bits, every run and schedule) but only ULP-bounded against the scalar
-// reference (tests/test_simd_parity.cpp derives and pins the bounds).
-// Its exp has no FMA and the same bits as every other arm's.
+// AVX-512 arm of the SIMD dispatch — the only translation unit compiled
+// with -mavx512f, behind the GPA_ENABLE_AVX512 CMake gate, and with
+// -ffp-contract=off so only the explicit FMAs below fuse. It runs the
+// lane contract (simd.hpp) natively: one 16-lane register per
+// reduction, explicit fused multiply-adds, and the contract's tree
+// written out, so its results do not depend on how a compiler's own
+// reduce intrinsic pairs lanes.
 //
 // Tails use AVX-512's native per-lane masking (__mmask16 zero-masked
 // loads / masked stores) for floats; half rows stage through a
@@ -14,13 +12,10 @@
 // source). Dead lanes hold the op identity: +0.0f for sums and dots,
 // -inf for max.
 //
-// Every sum reduction ends in one written-out tree (reduce_add16), the
-// order GCC 12's _mm512_reduce_add_ps uses: high + low 256-bit halves,
-// high + low 128-bit quarters, [0]+[2] and [1]+[3], then [0]+[1].
-// fold_tile runs the same tree on sixteen rows at once
-// (reduce_add16x16), so a tile's scores equal `dot`'s bit for bit
-// whatever a compiler's own reduce intrinsic does, and keeps them in one
-// register through the scale, gate, running max and both exps.
+// fold_tile runs the sum tree on sixteen rows at once
+// (reduce_add16x16), so a tile's scores equal `dot`'s bit for bit, and
+// keeps them in one register through the scale, gate, running max and
+// both exps.
 
 #if !defined(GPA_SIMD_AVX512)
 #error "simd_avx512.cpp must only be compiled when GPA_SIMD_AVX512 is defined"
@@ -57,13 +52,24 @@ inline __m512 load_h_tail(const half_t* p, Index r) noexcept {
   return _mm512_cvtph_ps(_mm256_load_si256(reinterpret_cast<const __m256i*>(buf)));
 }
 
-/// Σ lanes of s in the fixed tree described at the top of this file.
+/// Σ lanes of s in the contract's tree: high + low 256-bit halves,
+/// high + low 128-bit quarters, [0]+[2] and [1]+[3], then [0]+[1].
 inline float reduce_add16(__m512 s) noexcept {
   const __m256 hi = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(s), 1));
   const __m256 t3 = _mm256_add_ps(hi, _mm512_castps512_ps256(s));
   const __m128 t6 = _mm_add_ps(_mm256_extractf128_ps(t3, 1), _mm256_castps256_ps128(t3));
   const __m128 t8 = _mm_add_ps(t6, _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2)));
   return _mm_cvtss_f32(_mm_add_ss(t8, _mm_shuffle_ps(t8, t8, _MM_SHUFFLE(1, 1, 1, 1))));
+}
+
+/// reduce_add16's tree with MAXPS at every node, the higher half as the
+/// first operand.
+inline float reduce_max16(__m512 s) noexcept {
+  const __m256 hi = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(s), 1));
+  const __m256 t3 = _mm256_max_ps(hi, _mm512_castps512_ps256(s));
+  const __m128 t6 = _mm_max_ps(_mm256_extractf128_ps(t3, 1), _mm256_castps256_ps128(t3));
+  const __m128 t8 = _mm_max_ps(t6, _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(_mm_max_ss(t8, _mm_shuffle_ps(t8, t8, _MM_SHUFFLE(1, 1, 1, 1))));
 }
 
 /// Lane b of the result is reduce_add16(s[b]): each tree level does the
@@ -172,7 +178,7 @@ float reduce_max(const float* x, Index n) noexcept {
     const __mmask16 m = tail_mask(n - base);
     s = _mm512_max_ps(s, _mm512_mask_loadu_ps(neg_inf, m, x + base));
   }
-  return _mm512_reduce_max_ps(s);
+  return reduce_max16(s);
 }
 
 /// exp_lane (ops_tables.hpp) on sixteen lanes, op for op: no FMA.

@@ -7,27 +7,23 @@
 
 namespace gpa {
 
-/// Which arm of the SIMD dispatch a call should take. Levels above
-/// Scalar form a total order (each adds ISA requirements on top of the
-/// previous); a request the build or CPU cannot honour is silently
-/// clamped DOWN to the best available level at or below it (check
-/// simd::resolve() to detect the clamp).
+/// Which arm of the SIMD dispatch a call should take. Every arm computes
+/// the same bits (the lane contract in simd/simd.hpp), so a level picks
+/// speed, never a result. Levels above Scalar form a total order (each
+/// adds ISA requirements on top of the previous); a request the build or
+/// CPU cannot honour is silently clamped DOWN to the best available
+/// level at or below it (check simd::resolve() to detect the clamp).
 ///  * Auto    — resolve at runtime: forced level, then the GPA_SIMD env
 ///              var if set, otherwise the best level this build + CPU
 ///              supports.
-///  * Scalar  — portable scalar reference path (always compiled).
-///              Bitwise-pinned arm.
-///  * Avx2    — 8-lane AVX2 + F16C, no FMA contraction. Bitwise-pinned:
-///              bit-identical to Scalar by the lane contract.
-///  * Avx2Fma — 8-lane AVX2 using FMA in the dot/accumulate kernels.
-///              RELAXED arm: parity vs Scalar is ULP-bounded, not
-///              bitwise (fused multiply-adds round once, not twice).
-///  * Avx512  — 16-lane AVX-512F with FMA. RELAXED arm (wider lanes
-///              reassociate every reduction).
+///  * Scalar  — portable scalar reference path (always compiled); the
+///              contract's FMAs are std::fma calls.
+///  * Avx2Fma — AVX2 + FMA + F16C, the 16 contract lanes as two 8-lane
+///              halves.
+///  * Avx512  — 16-lane AVX-512F with FMA.
 enum class SimdLevel : std::uint8_t {
   Auto,
   Scalar,
-  Avx2,
   Avx2Fma,
   Avx512,
 };

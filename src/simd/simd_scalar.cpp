@@ -1,14 +1,19 @@
 // Scalar reference arm of the SIMD dispatch. This file doubles as the
 // executable specification of the lane contract documented in simd.hpp:
-// eight partial accumulators in lane order, a masked tail block, and a
-// fixed pairwise reduction tree — exactly the data flow of the AVX2 arm,
-// one lane at a time. The CMake rules compile this translation unit with
+// sixteen lane accumulators, one fused multiply-add per dot step,
+// dead tail lanes holding the op identity, and the fixed reduction
+// tree — exactly the data flow of the avx512 arm, one lane at a time.
+// std::fma rounds once, like the vector arms' FMA instructions. On
+// x86-64 this TU is built without an FMA instruction, so every std::fma
+// is a libm call: this arm is the reference, not a fast path, and
+// nothing in src/ forces it. The CMake rules compile it with
 // auto-vectorization and FP contraction disabled, so "scalar" is a true
-// scalar baseline for the differential harness and the bench trajectory.
+// scalar baseline for the differential harness.
 // It also holds softmax_push, the one online-softmax step every by-edge
 // fold goes through (simd.hpp): this TU is built for the baseline ISA,
 // so every arm can call it.
 
+#include <cmath>
 #include <limits>
 
 #include "simd/ops_tables.hpp"
@@ -16,54 +21,55 @@
 namespace gpa::simd::detail {
 namespace {
 
-constexpr int kLanes = 8;
+constexpr Index kLanes = 16;
+constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 /// Mirror of x86 MAXPS: a > b ? a : b (returns b on unordered and for
 /// equal/signed-zero operands, matching the instruction).
 inline float maxps(float a, float b) noexcept { return a > b ? a : b; }
 
-inline float reduce_tree_add(const float* s) noexcept {
-  const float t0 = s[0] + s[4];
-  const float t1 = s[1] + s[5];
-  const float t2 = s[2] + s[6];
-  const float t3 = s[3] + s[7];
-  const float u0 = t0 + t2;
-  const float u1 = t1 + t3;
-  return u0 + u1;
+/// p[i] widened to float, or +0 for a dead lane (i >= n).
+template <typename T>
+inline float lane(const T* p, Index i, Index n) noexcept {
+  return i < n ? static_cast<float>(p[i]) : 0.0f;
 }
 
-inline float reduce_tree_max(const float* s) noexcept {
-  const float t0 = maxps(s[0], s[4]);
-  const float t1 = maxps(s[1], s[5]);
-  const float t2 = maxps(s[2], s[6]);
-  const float t3 = maxps(s[3], s[7]);
-  const float u0 = maxps(t0, t2);
-  const float u1 = maxps(t1, t3);
-  return maxps(u0, u1);
+/// The contract's reduction tree over s[0..16) with `op` at every node:
+/// high 8 op low 8, high 4 op low 4, [0] op [2] and [1] op [3], then
+/// [0] op [1] — the first operand as avx512's instructions take it.
+template <typename Op>
+inline float reduce_tree(float* s, Op op) noexcept {
+  for (int l = 0; l < 8; ++l) s[l] = op(s[8 + l], s[l]);
+  for (int l = 0; l < 4; ++l) s[l] = op(s[4 + l], s[l]);
+  return op(op(s[0], s[2]), op(s[1], s[3]));
 }
 
-float dot(const float* a, const float* b, Index n) noexcept {
+inline float reduce_tree_add(float* s) noexcept {
+  return reduce_tree(s, [](float a, float b) { return a + b; });
+}
+
+/// Σ widen(a[i])·widen(b[i]): dot, dot_h and dot_fh. Every block,
+/// the tail included, is one fma per lane; a dead lane adds
+/// fma(0, 0, s).
+template <typename A, typename B>
+float dot(const A* a, const B* b, Index n) noexcept {
   float s[kLanes] = {};
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    for (int l = 0; l < kLanes; ++l) s[l] += a[base + l] * b[base + l];
-  }
-  if (base < n) {
-    // Masked tail: dead lanes contribute an explicit +0.0f, like the
-    // AVX2 arm's masked load (which yields zero products there).
+  for (Index base = 0; base < n; base += kLanes) {
     for (int l = 0; l < kLanes; ++l) {
-      s[l] += base + l < n ? a[base + l] * b[base + l] : 0.0f;
+      s[l] = std::fma(lane(a, base + l, n), lane(b, base + l, n), s[l]);
     }
   }
   return reduce_tree_add(s);
 }
 
-void axpby(float* acc, float alpha, float beta, const float* v, Index n) noexcept {
-  for (Index i = 0; i < n; ++i) acc[i] = acc[i] * alpha + beta * v[i];
+template <typename V>
+void axpby(float* acc, float alpha, float beta, const V* v, Index n) noexcept {
+  for (Index i = 0; i < n; ++i) acc[i] = std::fma(acc[i], alpha, beta * static_cast<float>(v[i]));
 }
 
-void axpy(float* acc, float beta, const float* v, Index n) noexcept {
-  for (Index i = 0; i < n; ++i) acc[i] = acc[i] + beta * v[i];
+template <typename V>
+void axpy(float* acc, float beta, const V* v, Index n) noexcept {
+  for (Index i = 0; i < n; ++i) acc[i] = std::fma(beta, static_cast<float>(v[i]), acc[i]);
 }
 
 void scale(float* x, float s, Index n) noexcept {
@@ -72,20 +78,12 @@ void scale(float* x, float s, Index n) noexcept {
 
 float reduce_max(const float* x, Index n) noexcept {
   float s[kLanes];
-  for (int l = 0; l < kLanes; ++l) s[l] = -std::numeric_limits<float>::infinity();
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    for (int l = 0; l < kLanes; ++l) s[l] = maxps(s[l], x[base + l]);
+  for (float& v : s) v = kNegInf;
+  for (Index base = 0; base < n; base += kLanes) {
+    // Dead tail lanes see -inf, the max identity.
+    for (int l = 0; l < kLanes; ++l) s[l] = maxps(s[l], base + l < n ? x[base + l] : kNegInf);
   }
-  if (base < n) {
-    // Dead tail lanes see -inf (the max identity), like the AVX2 arm's
-    // blend of the masked load.
-    for (int l = 0; l < kLanes; ++l) {
-      s[l] = maxps(s[l], base + l < n ? x[base + l]
-                                      : -std::numeric_limits<float>::infinity());
-    }
-  }
-  return reduce_tree_max(s);
+  return reduce_tree(s, maxps);
 }
 
 void exp(float* dst, const float* src, Index n) noexcept {
@@ -94,60 +92,10 @@ void exp(float* dst, const float* src, Index n) noexcept {
 
 float reduce_sum(const float* x, Index n) noexcept {
   float s[kLanes] = {};
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    for (int l = 0; l < kLanes; ++l) s[l] += x[base + l];
-  }
-  if (base < n) {
-    for (int l = 0; l < kLanes; ++l) s[l] += base + l < n ? x[base + l] : 0.0f;
+  for (Index base = 0; base < n; base += kLanes) {
+    for (int l = 0; l < kLanes; ++l) s[l] = s[l] + lane(x, base + l, n);
   }
   return reduce_tree_add(s);
-}
-
-// --- fp16 storage ops ------------------------------------------------
-// Widening binary16 -> binary32 is exact (every half value is a float),
-// so these follow the same 8-lane contract as the float ops over the
-// widened values and stay bit-identical to the AVX2 arm's F16C path:
-// VCVTPH2PS performs the identical exact conversion.
-
-float dot_h(const half_t* a, const half_t* b, Index n) noexcept {
-  float s[kLanes] = {};
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    for (int l = 0; l < kLanes; ++l) {
-      s[l] += static_cast<float>(a[base + l]) * static_cast<float>(b[base + l]);
-    }
-  }
-  if (base < n) {
-    for (int l = 0; l < kLanes; ++l) {
-      s[l] += base + l < n
-                  ? static_cast<float>(a[base + l]) * static_cast<float>(b[base + l])
-                  : 0.0f;
-    }
-  }
-  return reduce_tree_add(s);
-}
-
-float dot_fh(const float* a, const half_t* b, Index n) noexcept {
-  float s[kLanes] = {};
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    for (int l = 0; l < kLanes; ++l) s[l] += a[base + l] * static_cast<float>(b[base + l]);
-  }
-  if (base < n) {
-    for (int l = 0; l < kLanes; ++l) {
-      s[l] += base + l < n ? a[base + l] * static_cast<float>(b[base + l]) : 0.0f;
-    }
-  }
-  return reduce_tree_add(s);
-}
-
-void axpby_h(float* acc, float alpha, float beta, const half_t* v, Index n) noexcept {
-  for (Index i = 0; i < n; ++i) acc[i] = acc[i] * alpha + beta * static_cast<float>(v[i]);
-}
-
-void axpy_h(float* acc, float beta, const half_t* v, Index n) noexcept {
-  for (Index i = 0; i < n; ++i) acc[i] = acc[i] + beta * static_cast<float>(v[i]);
 }
 
 void h2f(float* dst, const half_t* src, Index n) noexcept {
@@ -160,9 +108,20 @@ void f2h(half_t* dst, const float* src, Index n) noexcept {
 
 }  // namespace
 
-const VecOps kScalarOps = {dot,    axpby,  axpy,   scale,  reduce_max,
-                           reduce_sum, exp, fold_tile_by_edge<dot, exp, axpy, axpby>,
-                           dot_h,  dot_fh, axpby_h, axpy_h, h2f, f2h};
+const VecOps kScalarOps = {dot<float, float>,
+                           axpby<float>,
+                           axpy<float>,
+                           scale,
+                           reduce_max,
+                           reduce_sum,
+                           exp,
+                           fold_tile_by_edge<dot<float, float>, exp, axpy<float>, axpby<float>>,
+                           dot<half_t, half_t>,
+                           dot<float, half_t>,
+                           axpby<half_t>,
+                           axpy<half_t>,
+                           h2f,
+                           f2h};
 
 }  // namespace gpa::simd::detail
 

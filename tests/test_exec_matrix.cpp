@@ -1,21 +1,14 @@
-// Execution-matrix determinism, per arm class (src/simd/simd.hpp):
+// Execution-matrix determinism:
 //
 //  * Within ONE dispatch arm, every kernel must produce bitwise
-//    identical results across thread counts, schedules, and grain sizes
-//    — relaxed (FMA/AVX-512) arms included. Parallelism never changes
-//    what is computed, only who/how it is computed (the PRAM claim of
-//    §IV-B on the CPU substrate).
-//  * Across arms, the BITWISE arms (scalar, avx2) must match each other
-//    exactly by the lane contract; the RELAXED arms (avx2-fma, avx512)
-//    reassociate/fuse and are held to a loose ULP sanity bound here —
-//    the tight per-reduction-length bounds live in test_simd_parity.
+//    identical results across thread counts, schedules, and grain sizes.
+//    Parallelism never changes what is computed, only who/how it is
+//    computed (the PRAM claim of §IV-B on the CPU substrate).
+//  * Across arms, every arm runs the one lane contract
+//    (src/simd/simd.hpp), so each arm's serial result must equal
+//    serial-scalar exactly.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <limits>
 
 #include "baselines/flash_attention.hpp"
 #include "baselines/sdp_masked.hpp"
@@ -28,23 +21,6 @@
 
 namespace gpa {
 namespace {
-
-std::int64_t ulp_index(float x) {
-  std::int32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return bits >= 0 ? bits : std::int64_t{std::numeric_limits<std::int32_t>::min()} - bits;
-}
-
-std::int64_t ulp_diff(float a, float b) {
-  if (std::isnan(a) && std::isnan(b)) return 0;
-  if (std::isnan(a) != std::isnan(b)) return std::numeric_limits<std::int64_t>::max();
-  return std::abs(ulp_index(a) - ulp_index(b));
-}
-
-/// Sanity bound for relaxed arms vs the scalar reference at this
-/// fixture's shapes (d=16, ~14 neighbors/row). Deliberately loose: this
-/// test pins determinism, test_simd_parity pins accuracy.
-constexpr std::int64_t kRelaxedUlp = 256;
 
 struct Fixture {
   static constexpr Index kL = 96;
@@ -76,8 +52,7 @@ const std::vector<ExecPolicy>& schedule_policies() {
 
 /// Runs `call(policy, out)` across the full schedule × arm matrix.
 /// Every policy is checked bitwise against a serial baseline computed
-/// on the SAME arm; bitwise arms additionally pin their baseline equal
-/// to serial-scalar, relaxed arms to the ULP sanity bound.
+/// on the SAME arm, and that baseline against serial-scalar.
 template <typename CallFn>
 void expect_policy_invariant(const CallFn& call) {
   Matrix<float> scalar_base(Fixture::kL, Fixture::kD);
@@ -91,18 +66,8 @@ void expect_policy_invariant(const CallFn& call) {
     serial_arm.simd = level;
     call(serial_arm, arm_base);
 
-    if (simd::is_bitwise_level(level)) {
-      EXPECT_EQ(max_abs_diff(arm_base, scalar_base), 0.0)
-          << "bitwise arm " << simd::level_name(level) << " diverged from scalar";
-    } else {
-      for (Index i = 0; i < Fixture::kL; ++i) {
-        for (Index j = 0; j < Fixture::kD; ++j) {
-          ASSERT_LE(ulp_diff(arm_base(i, j), scalar_base(i, j)), kRelaxedUlp)
-              << "relaxed arm " << simd::level_name(level) << " row " << i << " col " << j
-              << ": arm=" << arm_base(i, j) << " scalar=" << scalar_base(i, j);
-        }
-      }
-    }
+    EXPECT_EQ(max_abs_diff(arm_base, scalar_base), 0.0)
+        << "arm " << simd::level_name(level) << " diverged from scalar";
 
     for (ExecPolicy policy : schedule_policies()) {
       policy.simd = level;

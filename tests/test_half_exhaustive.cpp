@@ -4,7 +4,7 @@
 // both stand on this conversion being exact.
 //
 // The software converters are additionally pinned AGAINST F16C HARDWARE
-// (VCVTPH2PS / VCVTPS2PH, reached through the avx2 arm's h2f/f2h ops)
+// (VCVTPH2PS / VCVTPS2PH, reached through the avx2-fma arm's h2f/f2h ops)
 // when this build + CPU has the arm: fp16 page payloads must not depend
 // on which converter wrote them, including NaN payload handling —
 // VCVTPS2PH truncates the payload to the top 10 bits and forces the
@@ -128,15 +128,15 @@ TEST(HalfNanSemantics, WideningQuietsSignalingNans) {
 
 // --- software vs F16C hardware ----------------------------------------
 
-bool f16c_arm_available() { return simd::resolve(SimdLevel::Avx2) == SimdLevel::Avx2; }
+bool f16c_arm_available() { return simd::resolve(SimdLevel::Avx2Fma) == SimdLevel::Avx2Fma; }
 
 TEST(HalfHardwareConformance, WideningMatchesF16CForAllBitPatterns) {
   if (!f16c_arm_available()) GTEST_SKIP() << "F16C arm unavailable on this build/CPU";
-  // The avx2 arm's h2f is VCVTPH2PS; the scalar arm's is the software
+  // The avx2-fma arm's h2f is VCVTPH2PS; the scalar arm's is the software
   // converter. All 65,536 inputs, outputs compared as raw bits — NaN
   // payloads included.
   const auto& sw = simd::ops(SimdLevel::Scalar);
-  const auto& hw = simd::ops(SimdLevel::Avx2);
+  const auto& hw = simd::ops(SimdLevel::Avx2Fma);
   std::vector<half_t> src(65536);
   for (std::uint32_t bits = 0; bits <= 0xffffu; ++bits) {
     src[bits] = half_t::from_bits(static_cast<std::uint16_t>(bits));
@@ -159,7 +159,7 @@ TEST(HalfHardwareConformance, NarrowingMatchesF16COnDenseBitSweep) {
   // denormal, overflow, and NaN ranges), compared as raw half bits
   // against VCVTPS2PH's round-to-nearest-even.
   const auto& sw = simd::ops(SimdLevel::Scalar);
-  const auto& hw = simd::ops(SimdLevel::Avx2);
+  const auto& hw = simd::ops(SimdLevel::Avx2Fma);
   constexpr std::uint32_t kStride = 0x101u;
   constexpr Index kBlock = 4096;
   std::vector<float> in(static_cast<std::size_t>(kBlock));

@@ -1,9 +1,9 @@
 // KV-cache subsystem tests: paged allocator invariants (refcounts, CoW,
 // no double free), LRU eviction policy (idle-only, pinned exempt), and
 // the load-bearing numerics claim — a stream of decode_step folds is
-// BIT-IDENTICAL (float path) to one full-sequence causal kernel call,
-// across explicit (CSR) and implicit (local/global) masks and head dims
-// that exercise every SIMD remainder-lane count.
+// BIT-IDENTICAL (float path) to one full-sequence causal kernel call on
+// every SIMD arm, across explicit (CSR) and implicit (local/global) masks
+// and head dims that exercise every SIMD remainder-lane count.
 
 #include <gtest/gtest.h>
 
@@ -152,8 +152,8 @@ struct IdentityCase {
   std::string name;
   MaskSpec spec;
   std::function<void(const Matrix<float>&, const Matrix<float>&, const Matrix<float>&,
-                     Matrix<float>&)>
-      full_causal;  ///< one-shot causal kernel over the whole sequence
+                     Matrix<float>&, const AttentionOptions&)>
+      full_causal;  ///< one-shot kernel over the whole sequence, causal opts
 };
 
 std::vector<IdentityCase> identity_cases(Index n) {
@@ -165,31 +165,22 @@ std::vector<IdentityCase> identity_cases(Index n) {
     auto mask = std::make_shared<const Csr<float>>(
         build_csr_random(n, RandomParams{wide ? 0.5 : 0.25, 9}));
     cases.push_back({"csr", MaskSpec::make_csr(mask),
-                     [mask](const auto& q, const auto& k, const auto& v, auto& o) {
-                       AttentionOptions opts;
-                       opts.causal = true;
-                       csr_attention(q, k, v, *mask, o, opts);
-                     }});
+                     [mask](const auto& q, const auto& k, const auto& v, auto& o,
+                            const auto& opts) { csr_attention(q, k, v, *mask, o, opts); }});
   }
   {
     const LocalParams p{wide ? 48 : 5};
     cases.push_back({"local", MaskSpec::make_local(p),
-                     [p](const auto& q, const auto& k, const auto& v, auto& o) {
-                       AttentionOptions opts;
-                       opts.causal = true;
-                       local_attention(q, k, v, p, o, opts);
-                     }});
+                     [p](const auto& q, const auto& k, const auto& v, auto& o,
+                         const auto& opts) { local_attention(q, k, v, p, o, opts); }});
   }
   {
     GlobalMinusLocalParams p;
     p.global.tokens = {0, 3, 9};
     p.local.window = 2;
     cases.push_back({"global", MaskSpec::make_global(p),
-                     [p](const auto& q, const auto& k, const auto& v, auto& o) {
-                       AttentionOptions opts;
-                       opts.causal = true;
-                       global_attention(q, k, v, p, o, opts);
-                     }});
+                     [p](const auto& q, const auto& k, const auto& v, auto& o,
+                         const auto& opts) { global_attention(q, k, v, p, o, opts); }});
   }
   {
     // Chained mask (longformer serving scenario): local ∘ global folds
@@ -202,9 +193,7 @@ std::vector<IdentityCase> identity_cases(Index n) {
     cases.push_back(
         {"local∘global",
          MaskSpec::compose({MaskTraversal::local(lp), MaskTraversal::global(gp)}),
-         [lp, gp](const auto& q, const auto& k, const auto& v, auto& o) {
-           AttentionOptions opts;
-           opts.causal = true;
+         [lp, gp](const auto& q, const auto& k, const auto& v, auto& o, const auto& opts) {
            SoftmaxState st(q.rows(), o.cols());
            local_attention_accumulate(q, k, v, lp, st, opts);
            global_attention_accumulate(q, k, v, gp, st, opts);
@@ -214,8 +203,18 @@ std::vector<IdentityCase> identity_cases(Index n) {
   return cases;
 }
 
+/// The full kernel's options on one dispatch arm: causal, as decode is.
+AttentionOptions causal_on(SimdLevel level) {
+  AttentionOptions opts;
+  opts.causal = true;
+  opts.policy.simd = level;
+  return opts;
+}
+
 /// N single-row decode folds must equal one full-sequence causal kernel
-/// call bit for bit, for any prefill/decode split of the sequence.
+/// call bit for bit, for any prefill/decode split of the sequence. The
+/// decode side runs on Auto and the kernel side on every arm: all arms
+/// compute the same bits.
 void check_decode_identity(Index n, Index d, Index prefill_len) {
   for (auto& c : identity_cases(n)) {
     SCOPED_TRACE(c.name + " d=" + std::to_string(d) +
@@ -225,9 +224,6 @@ void check_decode_identity(Index n, Index d, Index prefill_len) {
     fill_uniform(q, rng);
     fill_uniform(k, rng);
     fill_uniform(v, rng);
-
-    Matrix<float> expected(n, d);
-    c.full_causal(q, k, v, expected);
 
     SessionManager::Config mc;
     mc.pool.page_size = 4;  // deliberately small: decode crosses pages
@@ -256,11 +252,16 @@ void check_decode_identity(Index n, Index d, Index prefill_len) {
       mgr.decode_step(1, q.row(t), k.row(t), v.row(t), got.row(t));
     }
 
-    for (Index i = 0; i < n; ++i) {
-      for (Index p = 0; p < d; ++p) {
-        ASSERT_EQ(got(i, p), expected(i, p))
-            << "row " << i << " col " << p << " (rows 0.." << prefill_len - 1
-            << " prefilled, rest decoded)";
+    for (const SimdLevel level : simd::available_levels()) {
+      SCOPED_TRACE(std::string("kernel arm ") + std::string(simd::level_name(level)));
+      Matrix<float> expected(n, d);
+      c.full_causal(q, k, v, expected, causal_on(level));
+      for (Index i = 0; i < n; ++i) {
+        for (Index p = 0; p < d; ++p) {
+          ASSERT_EQ(got(i, p), expected(i, p))
+              << "row " << i << " col " << p << " (rows 0.." << prefill_len - 1
+              << " prefilled, rest decoded)";
+        }
       }
     }
   }
@@ -278,8 +279,8 @@ TEST(DecodeBitIdentity, PureDecodeStreamMatchesFullKernel) {
 }
 
 /// A composed (local ∘ global) decode session's token stream must be
-/// bit-identical to the full composed kernel call — the acceptance pin
-/// for chained-mask sessions riding the shared traversal.
+/// bit-identical to the full composed kernel call on every arm — the
+/// acceptance pin for chained-mask sessions riding the shared traversal.
 TEST(DecodeBitIdentity, ComposedPresetSessionMatchesComposedKernelCall) {
   const Index n = 24, d = 48, split = 10;
   for (const bool bigbird : {false, true}) {
@@ -294,11 +295,6 @@ TEST(DecodeBitIdentity, ComposedPresetSessionMatchesComposedKernelCall) {
     fill_uniform(q, rng);
     fill_uniform(k, rng);
     fill_uniform(v, rng);
-
-    AttentionOptions copts;
-    copts.causal = true;
-    Matrix<float> expected(n, d);
-    composed_attention(q, k, v, preset, expected, copts);
 
     SessionManager::Config mc;
     mc.pool.page_size = 4;
@@ -326,9 +322,14 @@ TEST(DecodeBitIdentity, ComposedPresetSessionMatchesComposedKernelCall) {
     for (Index t = split; t < n; ++t) {
       mgr.decode_step(1, q.row(t), k.row(t), v.row(t), got.row(t));
     }
-    for (Index i = 0; i < n; ++i) {
-      for (Index p = 0; p < d; ++p) {
-        ASSERT_EQ(got(i, p), expected(i, p)) << "row " << i << " col " << p;
+    for (const SimdLevel level : simd::available_levels()) {
+      SCOPED_TRACE(std::string("kernel arm ") + std::string(simd::level_name(level)));
+      Matrix<float> expected(n, d);
+      composed_attention(q, k, v, preset, expected, causal_on(level));
+      for (Index i = 0; i < n; ++i) {
+        for (Index p = 0; p < d; ++p) {
+          ASSERT_EQ(got(i, p), expected(i, p)) << "row " << i << " col " << p;
+        }
       }
     }
   }
