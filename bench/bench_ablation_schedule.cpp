@@ -7,15 +7,12 @@
 // near-uniform row degrees, so dynamic scheduling buys nothing there
 // and its chunk-handout overhead is visible instead. (On a single-core
 // host the schedules coincide — the imbalance statistics still
-// quantify the skew, and the JSON records carry the backend so runs
-// from the OpenMP and std::thread builds merge into one trajectory
-// file: BENCH_schedule.json.)
+// quantify the skew.)
 
 #include <iostream>
 #include <thread>
 #include <vector>
 
-#include "benchutil/json.hpp"
 #include "benchutil/runner.hpp"
 #include "benchutil/table.hpp"
 #include "common/rng.hpp"
@@ -57,7 +54,6 @@ int main(int argc, char** argv) {
   fill_uniform(v, rng);
 
   Table table({"kernel", "schedule", "grain", "mean_s", "stddev_s"});
-  std::vector<benchutil::ScheduleBenchRecord> records;
   auto run_cell = [&](const char* kernel, const Schedule sched, const Index grain,
                       const std::function<void(const AttentionOptions&)>& call) {
     AttentionOptions opts;
@@ -68,16 +64,6 @@ int main(int argc, char** argv) {
                                                           : "auto";
     table.add_row({kernel, sched_name, std::to_string(grain), Table::fmt_seconds(st.mean),
                    Table::fmt_seconds(st.stddev)});
-    benchutil::ScheduleBenchRecord rec;
-    rec.backend = std::string(parallel_backend());
-    rec.kernel = kernel;
-    rec.schedule = sched_name;
-    rec.grain = grain;
-    rec.seq_len = L;
-    rec.hw_threads = hw;
-    rec.mean_s = st.mean;
-    rec.stddev_s = st.stddev;
-    records.push_back(std::move(rec));
   };
 
   for (const Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
@@ -99,9 +85,5 @@ int main(int argc, char** argv) {
 
   table.print();
   table.write_csv(args.csv_path);
-  if (!args.json_path.empty()) {
-    benchutil::write_schedule_bench_json(args.json_path, records);
-    std::cout << "json: " << args.json_path << "\n";
-  }
   return 0;
 }

@@ -24,7 +24,8 @@ Stats run_benchmark(const std::function<void()>& fn, const RunConfig& cfg = {});
 ///   --paper-scale     use the paper's full dimensions
 ///   --smoke           tiny shapes + 1 warmup / 2 iters (CTest tier2 gate)
 ///   --csv <path>      also write rows to a CSV file
-///   --json <path>     also write machine-readable records (benchutil/json.hpp)
+///   --json <path>     also write machine-readable records (benchutil/json.hpp;
+///                     only bench_simd_kernels writes them)
 ///   --warmup N --iters N   override the measurement protocol
 struct BenchArgs {
   bool paper_scale = false;

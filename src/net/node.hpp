@@ -36,8 +36,8 @@ namespace gpa::net {
 
 // ---------------------------------------------------------------------
 // Metrics snapshot over the wire (Op::Stats). Typed, not stringly: the
-// scraper (gpa_cli stats / cluster-bench) reads individual fields, so
-// the snapshot ships as [counters][gauges][histograms] with
+// scrapers (gpa_cli stats, ClusterClient::node_stats) read individual
+// fields, so the snapshot ships as [counters][gauges][histograms] with
 // length-prefixed name strings and LE-encoded values. get_* applies the
 // usual hostile-input bounds before any allocation.
 

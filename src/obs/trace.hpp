@@ -5,11 +5,12 @@
 //
 // Cost model. Tracing is DISABLED by default: a Span constructor then
 // performs one relaxed atomic load and a branch — no clock read, no
-// ring write, no allocation (the traced-vs-untraced cell in
-// bench_serving_throughput pins this at <2% sustained rps). Enabled,
-// an event is one fetch_add to claim a slot plus relaxed stores of the
-// fields. Defining GPA_TRACE_DISABLED at compile time removes even the
-// branch (Span becomes an empty struct).
+// ring write, no allocation. test_obs's
+// TraceTest.ServedWorkloadSpansReconcileWithServerStats keeps the
+// disabled sites of a served request under 2% of its untraced time.
+// Enabled, an event is one fetch_add to claim a slot plus relaxed
+// stores of the fields. Defining GPA_TRACE_DISABLED at compile time
+// removes even the branch (Span becomes an empty struct).
 //
 // Ring semantics. Fixed capacity, overwrite-oldest: the claim cursor is
 // a monotone fetch_add and a slot's publish sequence is stored with

@@ -5,10 +5,8 @@
 //   batcher.hpp       — BatchPolicy / DynamicBatcher
 //   server.hpp        — Server (worker pool) + ServerConfig
 //   server_stats.hpp  — ServerStats / StatsSnapshot
-//   loadgen.hpp       — open/closed-loop load generators
 
 #include "serve/batcher.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/request.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"

@@ -170,7 +170,6 @@ std::future<Response> Server::submit(Request r) {
 
   switch (queue_.try_push(r)) {
     case RequestQueue::Push::Ok:
-      stats_.record_queue_depth(queue_.size());
       break;
     case RequestQueue::Push::Full:
       finish(r, ResponseStatus::RejectedQueueFull);

@@ -33,13 +33,6 @@ void ServerStats::record_rejected(ResponseStatus cause) noexcept {
   rejected_[static_cast<std::size_t>(cause)].inc();
 }
 
-void ServerStats::record_queue_depth(std::size_t depth) noexcept {
-  std::size_t seen = max_queue_depth_.load(std::memory_order_relaxed);
-  while (depth > seen &&
-         !max_queue_depth_.compare_exchange_weak(seen, depth, std::memory_order_relaxed)) {
-  }
-}
-
 void ServerStats::record_batch(Index occupancy) noexcept {
   occupancy_.observe(static_cast<double>(occupancy));
 }
@@ -77,7 +70,6 @@ StatsSnapshot ServerStats::snapshot() const {
   while (!s.occupancy.empty() && s.occupancy.back() == 0) s.occupancy.pop_back();
   s.mean_batch_occupancy =
       s.batches > 0 ? occupancy.sum / static_cast<double>(s.batches) : 0.0;
-  s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
   s.latency_ms = tail_of(latency);
   s.service_ms = tail_of(service);
   return s;

@@ -25,7 +25,6 @@
 // are the integers 1..max_batch, so per-slot counts are exact.
 
 #include <array>
-#include <atomic>
 #include <vector>
 
 #include "benchutil/stats.hpp"
@@ -50,8 +49,6 @@ struct StatsSnapshot {
   std::vector<Size> occupancy;
   double mean_batch_occupancy = 0.0;
 
-  std::size_t max_queue_depth = 0;
-
   /// End-to-end (admission → kernel done) and service (dispatch →
   /// kernel done) latency tails, milliseconds. While writers run,
   /// service_ms.samples may exceed completed_ok by the completions in
@@ -68,7 +65,6 @@ class ServerStats {
   void record_submitted() noexcept { submitted_.inc(); }
   /// A terminal outcome other than Ok (InternalError included).
   void record_rejected(ResponseStatus cause) noexcept;
-  void record_queue_depth(std::size_t depth) noexcept;
   /// occupancy in 1..max_batch.
   void record_batch(Index occupancy) noexcept;
   void record_completion(double total_us, double service_us) noexcept;
@@ -80,7 +76,6 @@ class ServerStats {
   /// Indexed by ResponseStatus; the Ok slot stays 0 (completions are
   /// the latency histogram's count).
   std::array<obs::Counter, static_cast<std::size_t>(ResponseStatus::InternalError) + 1> rejected_;
-  std::atomic<std::size_t> max_queue_depth_{0};
   obs::Histogram occupancy_;
   obs::Histogram latency_ms_;
   obs::Histogram service_ms_;

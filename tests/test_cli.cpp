@@ -101,28 +101,20 @@ TEST(CliSmoke, MemmodelKnowsExtendedDeviceTable) {
 }
 
 TEST(CliSmoke, MemmodelRejectsUnknownDevice) {
-  // A typoed device must fail loudly, not silently price an A100.
+  // A typoed device must fail loudly, not silently price an A100; a
+  // typoed dtype must not price fp32 under its own name, and a typoed
+  // algo must not print an empty table.
   const auto r = run_cli("memmodel --device 4090 --algo csr --dim 64 --sf 0.0001");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("unknown --device"), std::string::npos) << r.output;
-}
-
-TEST(CliSmoke, ServeBenchClosedLoopReportsThroughput) {
-  const auto r = run_cli(
-      "serve-bench --length 64 --dim 16 --sf 0.1 --requests 48 --clients 4 --max-batch 4");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("completed:   48 ok"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("throughput:"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("latency ms:"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("batching:"), std::string::npos) << r.output;
-}
-
-TEST(CliSmoke, ServeBenchOpenLoopRuns) {
-  const auto r = run_cli(
-      "serve-bench --length 64 --dim 16 --sf 0.1 --requests 16 --rate 1000 --max-batch 4");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("open-loop"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("throughput:"), std::string::npos) << r.output;
+  const auto dtype = run_cli("memmodel --dtype bf16 --algo csr --dim 64 --sf 0.0001");
+  EXPECT_EQ(dtype.exit_code, 1);
+  EXPECT_NE(dtype.output.find("unknown --dtype: bf16 (fp16|fp32)"), std::string::npos)
+      << dtype.output;
+  const auto algo = run_cli("memmodel --algo cssr --dim 64 --sf 0.0001");
+  EXPECT_EQ(algo.exit_code, 1);
+  EXPECT_NE(algo.output.find("unknown --algo: cssr ("), std::string::npos) << algo.output;
+  EXPECT_NE(algo.output.find("|csr|"), std::string::npos) << algo.output;
 }
 
 TEST(CliSmoke, MaskFileRoundTripsThroughInfo) {

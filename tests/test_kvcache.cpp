@@ -249,7 +249,12 @@ void check_decode_identity(Index n, Index d, Index prefill_len) {
       }
     }
     for (Index t = prefill_len; t < n; ++t) {
-      mgr.decode_step(1, q.row(t), k.row(t), v.row(t), got.row(t));
+      // Work optimality, one token at a time: the step folds exactly
+      // row t's causal edges.
+      Index causal_edges = 0;
+      c.spec.for_each_causal(t, [&](Index, float) { ++causal_edges; });
+      ASSERT_EQ(mgr.decode_step(1, q.row(t), k.row(t), v.row(t), got.row(t)), causal_edges)
+          << "row " << t;
     }
 
     for (const SimdLevel level : simd::available_levels()) {

@@ -2,9 +2,10 @@
 // counters under contention, histogram bucket boundaries and quantile
 // error bound, snapshot lookups and exposition), trace-ring behavior
 // (wraparound accounting, Chrome JSON well-formedness, disabled-mode
-// no-op), the span/ServerStats reconciliation over a real served
-// workload, and the ServerStats torn-pair hammer the consistency
-// contract in server_stats.hpp names (run under the CI TSan leg).
+// no-op), the span/ServerStats reconciliation and the disabled-tracing
+// cost guard over a real served workload, and the ServerStats torn-pair
+// hammer the consistency contract in server_stats.hpp names (run under
+// the CI TSan leg).
 
 #include <gtest/gtest.h>
 
@@ -318,21 +319,29 @@ std::shared_ptr<const serve::RequestData> make_payload(Index L, Index d, std::ui
   return data;
 }
 
+/// The same served cell runs twice: untraced, to time a request, and
+/// traced, where its spans must reconcile with the server's stats. The
+/// two runs then price the disabled-tracing cost model in trace.hpp:
+/// the span sites a request passes through, each at the cost of one
+/// runtime-disabled site, must stay under 2% of its untraced time.
 TEST_F(TraceTest, ServedWorkloadSpansReconcileWithServerStats) {
-  const Index L = 32, d = 8;
-  auto mask = std::make_shared<const Csr<float>>(build_csr_random(L, RandomParams{0.2, 3}));
+  const Index L = 128, d = 64;
+  auto mask = std::make_shared<const Csr<float>>(build_csr_random(L, RandomParams{0.01, 7}));
   auto payload = make_payload(L, d, 17);
+  constexpr Size kRequests = 256;
 
-  trace::set_enabled(true);
-  constexpr Size kRequests = 48;
-  serve::StatsSnapshot stats;
-  {
+  struct Served {
+    double wall_ns;
+    serve::StatsSnapshot stats;
+  };
+  const auto serve_all = [&]() -> Served {
     serve::ServerConfig cfg;
     cfg.workers = 1;
-    cfg.queue_capacity = 256;
-    cfg.policy.max_batch = 4;
-    cfg.policy.max_wait = 200us;
+    cfg.queue_capacity = kRequests;
+    cfg.policy.max_batch = 8;
+    cfg.policy.max_wait = 50us;
     serve::Server server(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::future<serve::Response>> futures;
     for (Size i = 0; i < kRequests; ++i) {
       serve::Request r;
@@ -340,10 +349,17 @@ TEST_F(TraceTest, ServedWorkloadSpansReconcileWithServerStats) {
       r.mask = mask;
       futures.push_back(server.submit(std::move(r)));
     }
-    for (auto& f : futures) ASSERT_EQ(f.get().status, serve::ResponseStatus::Ok);
+    for (auto& f : futures) EXPECT_EQ(f.get().status, serve::ResponseStatus::Ok);
+    const double wall_ns = std::chrono::duration<double, std::nano>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
     server.shutdown();
-    stats = server.stats();
-  }
+    return {wall_ns, server.stats()};
+  };
+
+  const double untraced_ns = serve_all().wall_ns;
+  trace::set_enabled(true);
+  const serve::StatsSnapshot stats = serve_all().stats;
   trace::set_enabled(false);
   ASSERT_EQ(trace::dropped(), 0u) << "ring too small for the workload";
 
@@ -392,6 +408,26 @@ TEST_F(TraceTest, ServedWorkloadSpansReconcileWithServerStats) {
     }
     EXPECT_TRUE(contained) << "serve.item span outside every serve.dispatch window";
   }
+
+  // Disabled-tracing guard. Time one runtime-disabled span site; the
+  // empty asm keeps the compiler from hoisting the enabled-flag load
+  // out of the loop.
+  const double sites_per_request =
+      static_cast<double>(trace::emitted()) / static_cast<double>(kRequests);
+  constexpr int kSiteIters = 1'000'000;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kSiteIters; ++i) {
+    trace::Span s("guard.disabled_site", "test");
+    asm volatile("" ::: "memory");
+  }
+  const double site_ns =
+      std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0).count() /
+      kSiteIters;
+  const double request_ns = untraced_ns / static_cast<double>(kRequests);
+  const double disabled_pct = site_ns * sites_per_request / request_ns * 100.0;
+  EXPECT_LT(disabled_pct, 2.0) << site_ns << " ns/site x " << sites_per_request
+                               << " sites/request against " << request_ns
+                               << " ns per untraced request";
 }
 
 // --- ServerStats torn-pair hammer (TSan coverage) --------------------
@@ -412,7 +448,6 @@ TEST(ServerStatsHammer, SnapshotNeverObservesTornPairs) {
     writers.emplace_back([&stats, w] {
       for (int i = 0; i < kIters; ++i) {
         stats.record_submitted();
-        stats.record_queue_depth(static_cast<std::size_t>(i % 7));
         if (i % 13 == 0) {
           stats.record_rejected(serve::ResponseStatus::RejectedQueueFull);
           continue;
