@@ -16,7 +16,7 @@
 #include "sparse/compose.hpp"
 #include "tensor/tensor_ops.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gpa;
   using namespace gpa::seqpar;
   using benchutil::Table;
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
   ring_table.print();
   ring_table.write_csv(args.csv_path);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

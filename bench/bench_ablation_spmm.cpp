@@ -14,7 +14,7 @@
 #include "sparse/build.hpp"
 #include "tensor/tensor_ops.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gpa;
   using benchutil::Table;
   const auto args = benchutil::parse_bench_args(argc, argv, /*warmup=*/1, /*iters=*/3);
@@ -48,4 +48,7 @@ int main(int argc, char** argv) {
   table.print();
   table.write_csv(args.csv_path);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

@@ -43,7 +43,7 @@ Inputs make_inputs(Index L, Index d, Rng& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto args = benchutil::parse_bench_args(argc, argv, /*warmup=*/1, /*iters=*/3);
 
   const std::vector<Index> lengths =
@@ -142,4 +142,7 @@ int main(int argc, char** argv) {
   table.print();
   table.write_csv(args.csv_path);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

@@ -5,13 +5,16 @@
 // paper's A100-80GB numbers (test_memmodel pins the Table II cells
 // against the paper's).
 //
-// Flags: --csv <path>, --table2 (only the table), --sparsity-table.
+// Flags: --csv <path>, --table2 (only the table), --sparsity-table; any
+// other flag exits 1. It has no timing protocol, so it takes no --smoke:
+// its full run is the smoke run.
 
 #include <cstring>
 #include <iostream>
 #include <string>
 
 #include "benchutil/table.hpp"
+#include "common/error.hpp"
 #include "memmodel/memory_model.hpp"
 
 namespace {
@@ -75,15 +78,21 @@ void print_sparsity_table(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool only_table2 = false;
   bool only_sparsity = false;
   std::string csv;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--table2") only_table2 = true;
-    if (a == "--sparsity-table") only_sparsity = true;
-    if (a == "--csv" && i + 1 < argc) csv = argv[++i];
+    if (a == "--table2") {
+      only_table2 = true;
+    } else if (a == "--sparsity-table") {
+      only_sparsity = true;
+    } else if (a == "--csv" && i + 1 < argc) {
+      csv = argv[++i];
+    } else {
+      throw gpa::InvalidArgument(a == "--csv" ? "--csv requires a value" : "unknown flag " + a);
+    }
   }
 
   const auto dev = gpa::DeviceSpec::a100_80gb();
@@ -101,4 +110,7 @@ int main(int argc, char** argv) {
   print_table2(dev, csv);
   print_sparsity_table(csv);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

@@ -28,7 +28,7 @@ using benchutil::Table;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto args = benchutil::parse_bench_args(argc, argv, /*warmup=*/1, /*iters=*/3);
 
   std::vector<Index> lengths;
@@ -87,4 +87,7 @@ int main(int argc, char** argv) {
   table.print();
   table.write_csv(args.csv_path);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

@@ -30,7 +30,7 @@ using benchutil::Table;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto args = benchutil::parse_bench_args(argc, argv, /*warmup=*/1, /*iters=*/2);
 
   const std::vector<Index> lengths = args.paper_scale
@@ -92,4 +92,7 @@ int main(int argc, char** argv) {
   table.print();
   table.write_csv(args.csv_path);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

@@ -80,8 +80,9 @@ std::vector<SimdLevel> levels_under_test() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  auto args = benchutil::parse_bench_args(argc, argv, /*warmup=*/2, /*iters=*/7);
+int main(int argc, char** argv) try {
+  auto args = benchutil::parse_bench_args(argc, argv, /*warmup=*/2, /*iters=*/7,
+                                          /*writes_json=*/true);
   if (args.json_path.empty()) args.json_path = "BENCH_kernels.json";
 
   // Single-thread on purpose: the SIMD speedup must not hide behind the
@@ -275,4 +276,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

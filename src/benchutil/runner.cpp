@@ -1,10 +1,11 @@
 #include "benchutil/runner.hpp"
 
 #include <chrono>
-#include <cstring>
+#include <climits>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace gpa::benchutil {
 
@@ -21,7 +22,8 @@ Stats run_benchmark(const std::function<void()>& fn, const RunConfig& cfg) {
   return compute_stats(std::move(samples));
 }
 
-BenchArgs parse_bench_args(int argc, char** argv, int default_warmup, int default_iters) {
+BenchArgs parse_bench_args(int argc, char** argv, int default_warmup, int default_iters,
+                           bool writes_json) {
   BenchArgs args;
   args.run.warmup = default_warmup;
   args.run.iterations = default_iters;
@@ -43,13 +45,15 @@ BenchArgs parse_bench_args(int argc, char** argv, int default_warmup, int defaul
     } else if (a == "--csv") {
       args.csv_path = next_value("--csv");
     } else if (a == "--json") {
+      if (!writes_json) throw InvalidArgument("--json: this bench writes no record");
       args.json_path = next_value("--json");
     } else if (a == "--warmup") {
-      args.run.warmup = std::stoi(next_value("--warmup"));
+      args.run.warmup = static_cast<int>(parse_integer(a, next_value("--warmup"), 0, INT_MAX));
     } else if (a == "--iters") {
-      args.run.iterations = std::stoi(next_value("--iters"));
+      args.run.iterations = static_cast<int>(parse_integer(a, next_value("--iters"), 1, INT_MAX));
+    } else {
+      throw InvalidArgument("unknown flag " + a);
     }
-    // Unknown flags are left for the binary's own parser.
   }
   return args;
 }

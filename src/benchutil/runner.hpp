@@ -25,8 +25,11 @@ Stats run_benchmark(const std::function<void()>& fn, const RunConfig& cfg = {});
 ///   --smoke           tiny shapes + 1 warmup / 2 iters (CTest tier2 gate)
 ///   --csv <path>      also write rows to a CSV file
 ///   --json <path>     also write machine-readable records (benchutil/json.hpp;
-///                     only bench_simd_kernels writes them)
-///   --warmup N --iters N   override the measurement protocol
+///                     accepted only where `writes_json` says the bench does)
+///   --warmup N --iters N   override the measurement protocol (N ≥ 0 / N ≥ 1)
+/// Throws InvalidArgument naming the flag on an unknown flag, a missing
+/// value, a malformed or out-of-range number, and --json when the
+/// bench writes no record.
 struct BenchArgs {
   bool paper_scale = false;
   bool smoke = false;
@@ -35,6 +38,6 @@ struct BenchArgs {
   RunConfig run;
 };
 BenchArgs parse_bench_args(int argc, char** argv, int default_warmup = 2,
-                           int default_iters = 5);
+                           int default_iters = 5, bool writes_json = false);
 
 }  // namespace gpa::benchutil

@@ -10,7 +10,6 @@
 #include "core/state.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel_reduce.hpp"
 
 namespace gpa::kvcache {
 namespace {
@@ -418,44 +417,20 @@ Index SessionManager::decode_step(std::uint64_t id, const Matrix<float>& q_new,
   return decode_step(id, q_new.row(0), k_new.row(0), v_new.row(0), out_row.row(0));
 }
 
-Index SessionManager::decode_batch(std::vector<DecodeBatchItem>& items,
-                                   const ExecPolicy& policy) {
-  // Group by session, preserving item order within each group: one
-  // session's steps must fold in token order (the ordering contract in
-  // the header), while different sessions are independent and form the
-  // parallel grain. std::map keys ascend, so the group order — and with
-  // it the reduction tree — is deterministic for a given item set.
-  std::map<std::uint64_t, std::vector<std::size_t>> by_session;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    by_session[items[i].session_id].push_back(i);
+Index SessionManager::decode_batch(std::vector<DecodeBatchItem>& items) {
+  Index edges = 0;
+  for (DecodeBatchItem& it : items) {
+    try {
+      it.edges = decode_step(it.session_id, it.q, it.k, it.v, it.out);
+      it.outcome = DecodeBatchItem::Outcome::Ok;
+      edges += it.edges;
+    } catch (const SessionError&) {
+      it.outcome = DecodeBatchItem::Outcome::SessionError;
+    } catch (const std::exception&) {
+      it.outcome = DecodeBatchItem::Outcome::Error;
+    }
   }
-  std::vector<const std::vector<std::size_t>*> groups;
-  groups.reserve(by_session.size());
-  for (const auto& [sid, idx] : by_session) groups.push_back(&idx);
-
-  // The per-group fold count reduces through the substrate: inside a
-  // server worker this runs nested (the guard degrades it to serial);
-  // standalone it spreads sessions across threads.
-  return parallel_reduce(
-      Index{0}, static_cast<Index>(groups.size()), Index{0},
-      [&](Index lo, Index hi, Index partial) {
-        for (Index g = lo; g < hi; ++g) {
-          for (const std::size_t i : *groups[static_cast<std::size_t>(g)]) {
-            DecodeBatchItem& it = items[i];
-            try {
-              it.edges = decode_step(it.session_id, it.q, it.k, it.v, it.out);
-              it.outcome = DecodeBatchItem::Outcome::Ok;
-              partial += it.edges;
-            } catch (const SessionError&) {
-              it.outcome = DecodeBatchItem::Outcome::SessionError;
-            } catch (const std::exception&) {
-              it.outcome = DecodeBatchItem::Outcome::Error;
-            }
-          }
-        }
-        return partial;
-      },
-      [](Index a, Index b) { return a + b; }, policy);
+  return edges;
 }
 
 SessionManager::Stats SessionManager::stats() const {

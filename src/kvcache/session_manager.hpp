@@ -22,7 +22,8 @@
 // Concurrency model (what the TSan CI leg checks):
 //   * `mu_` guards the session map, the LRU clock, and nothing else.
 //   * each session has an op mutex serializing its prefill/decode;
-//     different sessions decode concurrently.
+//     different sessions decode concurrently when called from
+//     different threads (decode_batch itself folds on its caller).
 //   * the pool is internally synchronized; page payloads are only
 //     touched by the session that owns them exclusively.
 //   * eviction (triggered by pool exhaustion) picks the
@@ -142,14 +143,17 @@ class SessionManager {
     Index edges = 0;  ///< edges folded (0 unless Ok)
   };
 
-  /// Batched decode across sessions: items are grouped by session id
-  /// (steps of ONE session run in item order — the autoregressive
-  /// ordering contract above), and the per-session groups fold
-  /// concurrently under `policy` through a parallel_reduce that sums
-  /// folded edges. Per-item failures are recorded in the item's
+  /// Batched decode across sessions: the items fold one after another
+  /// in item order on the calling thread, so steps of ONE session run
+  /// in token order (the autoregressive ordering contract above). No
+  /// fork: a decode row folds a few hundred edges at most, and the
+  /// largest batch the server forms (8 tokens × 137 edges on the
+  /// decode-stream workload) is a quarter of the kAutoGrainWork edge
+  /// folds (parallel/auto_tune.hpp) the substrate hands one thread per
+  /// scheduling decision. Per-item failures are recorded in the item's
   /// `outcome`, never thrown — one bad session must not poison the
   /// batch. Returns the total edges folded by the Ok items.
-  Index decode_batch(std::vector<DecodeBatchItem>& items, const ExecPolicy& policy);
+  Index decode_batch(std::vector<DecodeBatchItem>& items);
 
   Stats stats() const;
   const BlockPool& pool() const noexcept { return pool_; }

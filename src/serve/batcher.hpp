@@ -15,6 +15,14 @@
 //               compatible arrivals (0 = greedy: dispatch whatever the
 //               first scan finds; requests already queued still batch).
 //
+// max_wait defaults to 0. A batch still forms whenever requests queue
+// behind a busy worker, which on a CPU server is the only time
+// coalescing saves work; holding an idle worker for arrivals does not.
+// On the decode-stream workload of bench/e2e (a 137-edge token folds
+// in ~8 µs at d = 64) the old 200 µs hold made the queue wait 4× the
+// service time; greedy dispatch cut its p50 latency 0.23 → 0.04 ms and
+// pattern-serve's 1.04 → 0.82 ms (10 seed-paired runs, 4 vCPUs).
+//
 // max_wait can additionally be set PER BUCKET (bucket_max_wait, aligned
 // with seq_buckets): long-prompt buckets amortise kernel cost over far
 // more work per item, so holding them a little longer for a fuller
@@ -31,7 +39,7 @@ namespace gpa::serve {
 
 struct BatchPolicy {
   Index max_batch = 8;
-  std::chrono::microseconds max_wait{200};
+  std::chrono::microseconds max_wait{0};
   /// seq_len bucket ceilings (ascending) for Pattern requests: a
   /// request's BatchKey carries the smallest ceiling >= its true
   /// length, so near-length requests under one pattern coalesce into

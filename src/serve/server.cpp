@@ -183,12 +183,12 @@ std::future<Response> Server::submit(Request r) {
 
 std::vector<ResponseStatus> Server::run_decode(std::vector<Request>& batch) {
   // Hand the whole batch to the session manager's cross-session decode:
-  // it groups by session (folds for one session land in arrival/token
-  // order, different sessions decode concurrently) and reduces the
-  // per-session fold counts through the parallel substrate. The order
-  // guarantee is per-dispatch only: a client that pipelines token t+1
-  // before token t resolves can see the two land in different batches
-  // and fold out of order (see the ordering contract in
+  // it folds the items in arrival order on this worker thread, so one
+  // session's tokens land in token order. A token is a few µs of work,
+  // less than a fork costs, so batch_policy does not apply here. The
+  // order guarantee is per-dispatch only: a client that pipelines token
+  // t+1 before token t resolves can see the two land in different
+  // batches and fold out of order (see the ordering contract in
   // kvcache/session_manager.hpp — await each step). Per-item failures
   // come back as typed outcomes, never as exceptions.
   using Item = kvcache::SessionManager::DecodeBatchItem;
@@ -198,7 +198,7 @@ std::vector<ResponseStatus> Server::run_decode(std::vector<Request>& batch) {
     items[i] = Item{r.session_id, r.data->q.row(0), r.data->k.row(0), r.data->v.row(0),
                     r.output.row(0)};
   }
-  cfg_.sessions->decode_batch(items, cfg_.batch_policy);
+  cfg_.sessions->decode_batch(items);
 
   std::vector<ResponseStatus> status(batch.size(), ResponseStatus::Ok);
   for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -9,7 +9,8 @@
 //                     (full / deadline / shutdown)                (latency tails,
 //                                                                  occupancy)
 //
-// Parallelism is two-level, mirroring how a batch fills a device:
+// Pattern and Attention batches run two-level parallel, mirroring how
+// a batch fills a device:
 //   batch_policy — across batch items (one "SM" per sequence),
 //   item_policy  — inside one kernel call (rows of one sequence).
 // The two levels cannot multiply threads: the substrate's nesting guard
@@ -22,6 +23,10 @@
 // dispatch the whole machine across items and keep items serial inside,
 // so batched and unbatched dispatch are directly comparable at equal
 // worker count.
+//
+// Decode batches fold on the worker thread, item after item
+// (SessionManager::decode_batch): a token costs a few µs, less than
+// the fork a cross-item region would add.
 //
 // Shutdown drains: close() stops admissions, workers finish everything
 // already queued (in-flight requests complete Ok), then join. Requests
@@ -57,7 +62,8 @@ struct ServerConfig {
   /// present in the queue (class → weight, unlisted classes weigh 1);
   /// empty keeps strict highest-class-first.
   std::map<int, Index> fairness_weights{};
-  /// Across-items dispatch (default: all cores, one item per grab).
+  /// Across-items dispatch of Pattern and Attention batches (default:
+  /// all cores, one item per grab). Decode batches fold on the worker.
   ExecPolicy batch_policy{0, 1, Schedule::Dynamic};
   /// Per-item kernel policy (default serial: items don't oversubscribe
   /// each other; raise it for few-large-request deployments).

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "benchutil/runner.hpp"
 #include "common/error.hpp"
@@ -133,6 +135,43 @@ TEST(ArgsTest, ExplicitOverridesWin) {
 TEST(ArgsTest, MissingFlagValueThrows) {
   const char* argv[] = {"bench", "--csv"};
   EXPECT_THROW(parse_bench_args(2, const_cast<char**>(argv), 1, 3), InvalidArgument);
+}
+
+/// The InvalidArgument message parse_bench_args throws for `argv`, or
+/// "" when it parses.
+std::string args_error(std::vector<const char*> argv, bool writes_json = false) {
+  argv.insert(argv.begin(), "bench");
+  try {
+    parse_bench_args(static_cast<int>(argv.size()), const_cast<char**>(argv.data()), 1, 3,
+                     writes_json);
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgsTest, UnknownFlagsAreRejectedByName) {
+  EXPECT_NE(args_error({"--smoke", "--bogus"}).find("unknown flag --bogus"), std::string::npos);
+  EXPECT_NE(args_error({"--table2"}).find("unknown flag --table2"), std::string::npos);
+}
+
+TEST(ArgsTest, JsonIsAcceptedOnlyByBenchesThatWriteIt) {
+  EXPECT_NE(args_error({"--smoke", "--json", "x.json"}).find("--json"), std::string::npos);
+  EXPECT_EQ(args_error({"--smoke", "--json", "x.json"}, /*writes_json=*/true), "");
+  const char* argv[] = {"bench", "--json", "x.json"};
+  EXPECT_EQ(parse_bench_args(3, const_cast<char**>(argv), 1, 3, true).json_path, "x.json");
+}
+
+TEST(ArgsTest, MalformedCountsAreRejectedByFlagAndValue) {
+  EXPECT_NE(args_error({"--iters", "2x"}).find("--iters expects an integer, got \"2x\""),
+            std::string::npos);
+  EXPECT_NE(args_error({"--warmup", "abc"}).find("--warmup expects an integer"),
+            std::string::npos);
+  EXPECT_NE(args_error({"--warmup", "-1"}).find("--warmup must be in [0, "), std::string::npos);
+  EXPECT_NE(args_error({"--iters", "0"}).find("--iters must be in [1, "), std::string::npos);
+  EXPECT_NE(args_error({"--iters", "99999999999"}).find("--iters must be in"),
+            std::string::npos);
+  EXPECT_EQ(args_error({"--warmup", "0", "--iters", "1"}), "");
 }
 
 class TableFixture : public ::testing::Test {

@@ -560,8 +560,8 @@ TEST(SessionConcurrency, ParallelDecodeAcrossSessionsWithEvictionChurn) {
 
 TEST(DecodeBatch, BatchedStepsMatchPerSessionStepsBitwise) {
   // Cross-session batched decode must be bit-identical to issuing each
-  // session's steps one at a time: grouping only changes who folds a
-  // row, never the fold order within a session.
+  // session's steps one at a time: batching never changes the fold
+  // order within a session.
   const Index d = 16;
   constexpr int kSessions = 3;
   constexpr Index kSteps = 12;
@@ -595,7 +595,7 @@ TEST(DecodeBatch, BatchedStepsMatchPerSessionStepsBitwise) {
                        got[static_cast<std::size_t>(s)].row(t)});
     }
     items.push_back({999, junk.row(0), junk.row(0), junk.row(0), junk.row(0)});
-    batched_edges += batched.decode_batch(items, ExecPolicy{2, 1, Schedule::Dynamic});
+    batched_edges += batched.decode_batch(items);
     for (int s = 0; s < kSessions; ++s) {
       EXPECT_EQ(items[static_cast<std::size_t>(s)].outcome,
                 SessionManager::DecodeBatchItem::Outcome::Ok);
@@ -626,8 +626,8 @@ TEST(DecodeBatch, BatchedStepsMatchPerSessionStepsBitwise) {
 
 TEST(DecodeBatch, InSessionOrderIsPreservedWithinOneBatch) {
   // Several tokens of ONE session inside one batch must fold in item
-  // order (the autoregressive contract) even while other sessions run
-  // concurrently.
+  // order (the autoregressive contract) even when interleaved with
+  // another session's tokens.
   const Index d = 16;
   constexpr Index kTokens = 8;
   SessionManager batched(small_config(d, 64));
@@ -647,7 +647,7 @@ TEST(DecodeBatch, InSessionOrderIsPreservedWithinOneBatch) {
     items.push_back({1, tokens.row(t), tokens.row(t), tokens.row(t), got.row(t)});
     items.push_back({2, other.row(t), other.row(t), other.row(t), sink.row(t)});
   }
-  batched.decode_batch(items, ExecPolicy{2, 1, Schedule::Dynamic});
+  batched.decode_batch(items);
 
   for (Index t = 0; t < kTokens; ++t) {
     reference.decode_step(1, tokens.row(t), tokens.row(t), tokens.row(t), want.row(t));

@@ -3,9 +3,9 @@
 // error bound, snapshot lookups and exposition), trace-ring behavior
 // (wraparound accounting, Chrome JSON well-formedness, disabled-mode
 // no-op), the span/ServerStats reconciliation and the disabled-tracing
-// cost guard over a real served workload, and the ServerStats torn-pair
-// hammer the consistency contract in server_stats.hpp names (run under
-// the CI TSan leg).
+// cost guard over a real served workload, the thread decode batches
+// fold on, and the ServerStats torn-pair hammer the consistency
+// contract in server_stats.hpp names (run under the CI TSan leg).
 
 #include <gtest/gtest.h>
 
@@ -428,6 +428,77 @@ TEST_F(TraceTest, ServedWorkloadSpansReconcileWithServerStats) {
   EXPECT_LT(disabled_pct, 2.0) << site_ns << " ns/site x " << sites_per_request
                                << " sites/request against " << request_ns
                                << " ns per untraced request";
+}
+
+/// Decode batches fold on the worker that dispatched them, even when
+/// batch_policy asks for threads across items (it covers Pattern and
+/// Attention batches only): every kvcache.decode_step span carries the
+/// tid of the serve.dispatch span that contains it. Each batch holds 8
+/// tokens of 8 distinct sessions, the case a cross-session fork would
+/// spread over threads.
+TEST_F(TraceTest, DecodeStepsFoldOnTheDispatchingThread) {
+  const Index prompt = 12, d = 16;
+  constexpr Index kSessions = 8;
+  constexpr Size kBatches = 20;
+  kvcache::SessionManager::Config mc;
+  mc.pool.page_size = 4;
+  mc.pool.head_dim = d;
+  mc.pool.num_pages = 256;
+  auto sessions = std::make_shared<kvcache::SessionManager>(mc);
+  auto payload = make_payload(prompt, d, 23);
+  Matrix<float> out;
+  for (Index s = 1; s <= kSessions; ++s) {
+    const auto id = static_cast<std::uint64_t>(s);
+    sessions->create(id, kvcache::MaskSpec::make_local(LocalParams{4}));
+    sessions->prefill(id, payload->q, payload->k, payload->v, out);
+  }
+
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.policy.max_batch = kSessions;
+  cfg.policy.max_wait = 10s;  // each batch closes when full, not on the window
+  cfg.batch_policy = ExecPolicy{2, 1, Schedule::Dynamic};
+  cfg.sessions = sessions;
+  serve::Server server(cfg);
+  Matrix<float> row(1, d);
+  Rng rng(29);
+  fill_uniform(row, rng);
+
+  trace::set_enabled(true);
+  for (Size b = 0; b < kBatches; ++b) {
+    std::vector<std::future<serve::Response>> futures;
+    for (Index s = 1; s <= kSessions; ++s) {
+      futures.push_back(
+          server.submit(serve::make_decode_request(static_cast<std::uint64_t>(s), row, row, row)));
+    }
+    for (auto& f : futures) {
+      const serve::Response resp = f.get();
+      ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
+      ASSERT_EQ(resp.batch_size, kSessions);
+    }
+  }
+  server.shutdown();  // joins the worker: the last serve.dispatch span closes before this
+  trace::set_enabled(false);
+  ASSERT_EQ(trace::dropped(), 0u) << "ring too small for the workload";
+
+  const std::vector<trace::Event> events = trace::drain_snapshot();
+  std::vector<const trace::Event*> dispatches;
+  for (const trace::Event& e : events) {
+    if (std::string(e.name) == "serve.dispatch") dispatches.push_back(&e);
+  }
+  ASSERT_EQ(dispatches.size(), kBatches);
+  Size steps = 0;
+  for (const trace::Event& e : events) {
+    if (std::string(e.name) != "kvcache.decode_step") continue;
+    ++steps;
+    const trace::Event* owner = nullptr;
+    for (const trace::Event* w : dispatches) {
+      if (e.ts_us >= w->ts_us && e.ts_us + e.dur_us <= w->ts_us + w->dur_us) owner = w;
+    }
+    ASSERT_NE(owner, nullptr) << "kvcache.decode_step outside every serve.dispatch window";
+    EXPECT_EQ(e.tid, owner->tid) << "decode step folded off the dispatching thread";
+  }
+  EXPECT_EQ(steps, kBatches * static_cast<Size>(kSessions));
 }
 
 // --- ServerStats torn-pair hammer (TSan coverage) --------------------

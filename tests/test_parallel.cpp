@@ -1,11 +1,10 @@
 // Tests for the parallel runtime substrate: parallel_for semantics under
-// both schedules, exception propagation, nesting degradation,
-// parallel_reduce determinism, and the device presets.
+// both schedules, exception propagation, nesting degradation, and the
+// device presets.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -15,7 +14,6 @@
 
 #include "parallel/device_spec.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/parallel_reduce.hpp"
 #include "parallel/parallel_region.hpp"
 
 namespace gpa {
@@ -134,77 +132,6 @@ TEST(ParallelRegionTest, SingleItemRangeRunsInlineKeepingInnerParallelism) {
     checked = true;
   });
   EXPECT_TRUE(checked);
-}
-
-class ParallelReduceSchedules : public ::testing::TestWithParam<Schedule> {};
-
-TEST_P(ParallelReduceSchedules, SumsTheRange) {
-  for (const int threads : {1, 2, 4}) {
-    for (const Index grain : {Index{1}, Index{7}, Index{64}}) {
-      ExecPolicy policy{threads, grain, GetParam()};
-      const std::int64_t got = parallel_reduce(
-          Index{0}, Index{257}, std::int64_t{0},
-          [](Index lo, Index hi, std::int64_t acc) {
-            for (Index i = lo; i < hi; ++i) acc += i;
-            return acc;
-          },
-          [](std::int64_t a, std::int64_t b) { return a + b; }, policy);
-      EXPECT_EQ(got, 257 * 256 / 2);
-    }
-  }
-}
-
-TEST_P(ParallelReduceSchedules, EmptyRangeReturnsIdentity) {
-  ExecPolicy policy{4, 8, GetParam()};
-  const auto body = [](Index, Index, int acc) { return acc + 1; };
-  const auto comb = [](int a, int b) { return a + b; };
-  EXPECT_EQ(parallel_reduce(Index{5}, Index{5}, 42, body, comb, policy), 42);
-  EXPECT_EQ(parallel_reduce(Index{9}, Index{5}, 42, body, comb, policy), 42);
-}
-
-TEST_P(ParallelReduceSchedules, ExceptionsPropagateToCaller) {
-  ExecPolicy policy{4, 4, GetParam()};
-  EXPECT_THROW(parallel_reduce(
-                   Index{0}, Index{100}, 0.0f,
-                   [](Index lo, Index hi, float acc) {
-                     for (Index i = lo; i < hi; ++i) {
-                       if (i == 61) throw std::runtime_error("partial failure");
-                       acc += static_cast<float>(i);
-                     }
-                     return acc;
-                   },
-                   [](float a, float b) { return a + b; }, policy),
-               std::runtime_error);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSchedules, ParallelReduceSchedules,
-                         ::testing::Values(Schedule::Static, Schedule::Dynamic));
-
-TEST(ParallelReduceTest, FloatSumIsBitIdenticalAcrossPoliciesAtFixedGrain) {
-  // The determinism contract: the reduction tree is fixed by (n, grain),
-  // so serial and any parallel policy produce bit-identical floats.
-  std::vector<float> xs(1000);
-  std::uint32_t s = 1u;
-  for (float& x : xs) {
-    s = s * 1664525u + 1013904223u;  // LCG: reproducible awkward floats
-    x = static_cast<float>(s >> 8) / 16777216.0f - 0.5f;
-  }
-  const auto body = [&](Index lo, Index hi, float acc) {
-    for (Index i = lo; i < hi; ++i) acc += xs[static_cast<std::size_t>(i)];
-    return acc;
-  };
-  const auto comb = [](float a, float b) { return a + b; };
-  const Index n = static_cast<Index>(xs.size());
-  for (const Index grain : {Index{1}, Index{7}, Index{64}}) {
-    const float serial =
-        parallel_reduce(Index{0}, n, 0.0f, body, comb, ExecPolicy{1, grain, Schedule::Static});
-    const float par_static =
-        parallel_reduce(Index{0}, n, 0.0f, body, comb, ExecPolicy{3, grain, Schedule::Static});
-    const float par_dynamic =
-        parallel_reduce(Index{0}, n, 0.0f, body, comb, ExecPolicy{3, grain, Schedule::Dynamic});
-    EXPECT_EQ(serial, par_static) << "grain " << grain;
-    EXPECT_EQ(serial, par_dynamic) << "grain " << grain;
-  }
 }
 
 TEST(DeviceSpecTest, PresetsMatchTable1Capacities) {

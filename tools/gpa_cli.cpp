@@ -13,12 +13,14 @@
 
 #include <chrono>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/reference_attention.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/version.hpp"
 #include "core/graph_attention.hpp"
@@ -47,34 +49,26 @@ struct Args {
     const auto it = kv.find("--" + name);
     return it == kv.end() ? fallback : it->second;
   }
-  Index get_index(const std::string& name, Index fallback) const {
-    return get_numeric<Index>(name, fallback, "an integer",
-                              [](const std::string& s, std::size_t* pos) {
-                                return static_cast<Index>(std::stoll(s, pos));
-                              });
+  /// Strict numeric lookups: the whole value must parse (and an index
+  /// must lie in [lo, hi]), otherwise an InvalidArgument naming the flag
+  /// is thrown.
+  Index get_index(const std::string& name, Index fallback,
+                  Index lo = std::numeric_limits<Index>::min(),
+                  Index hi = std::numeric_limits<Index>::max()) const {
+    const auto it = kv.find("--" + name);
+    return it == kv.end() ? fallback
+                          : static_cast<Index>(parse_integer(it->first, it->second, lo, hi));
   }
   double get_double(const std::string& name, double fallback) const {
-    return get_numeric<double>(name, fallback, "a number",
-                               [](const std::string& s, std::size_t* pos) {
-                                 return std::stod(s, pos);
-                               });
-  }
-
- private:
-  /// Strict numeric lookup: the whole value must parse, otherwise an
-  /// InvalidArgument naming the flag is thrown.
-  template <typename T, typename Parse>
-  T get_numeric(const std::string& name, T fallback, const char* kind, Parse parse) const {
     const auto it = kv.find("--" + name);
     if (it == kv.end()) return fallback;
     try {
       std::size_t pos = 0;
-      const T value = parse(it->second, &pos);
-      if (pos != it->second.size()) throw std::invalid_argument("trailing characters");
-      return value;
-    } catch (const std::exception&) {
-      throw InvalidArgument("--" + name + " expects " + kind + ", got \"" + it->second + "\"");
+      const double value = std::stod(it->second, &pos);
+      if (pos == it->second.size()) return value;
+    } catch (const std::exception&) {  // no number at all: reported below
     }
+    throw InvalidArgument(it->first + " expects a number, got \"" + it->second + "\"");
   }
 };
 
@@ -274,17 +268,18 @@ int cmd_memmodel(const Args& args) {
 /// are printed as per-second rates (gauges as the second sample).
 int cmd_stats(const Args& args) {
   std::string host = args.get("host", "127.0.0.1");
-  long long port = args.get_index("port", 0);
+  Index port = args.get_index("port", 0, 1, 65535);
   for (const auto& [key, val] : args.kv) {
     (void)val;
     const std::size_t colon = key.find(':');
     if (key.rfind("--", 0) != 0 && colon != std::string::npos) {
       host = key.substr(0, colon);
-      port = std::stoll(key.substr(colon + 1));
+      port = static_cast<Index>(
+          parse_integer("the port of " + key, key.substr(colon + 1), 1, 65535));
       break;
     }
   }
-  GPA_CHECK(port > 0 && port <= 65535, "stats requires <host:port> (or --host/--port)");
+  GPA_CHECK(port > 0, "stats requires <host:port> (or --host/--port)");
   auto scrape = [&] {
     auto t = net::TcpTransport::connect(host, static_cast<std::uint16_t>(port),
                                         net::Millis{5000}, net::Millis{10000});
